@@ -22,9 +22,11 @@ near the paper's ≈21.7 kW (Fig. 1) and the per-model medians near Table 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -90,15 +92,17 @@ class Link:
         return self.kind == LinkKind.INTERNAL
 
 
+@functools.lru_cache(maxsize=None)
 def _pick_module(port_type: PortType, speed_gbps: float,
-                 preferred_reach: Sequence[Reach]) -> Tuple[TransceiverModel,
-                                                            Optional[float]]:
+                 preferred_reach: Tuple[Reach, ...]) -> Tuple[TransceiverModel,
+                                                             Optional[float]]:
     """Choose a catalog module for a port at a target speed.
 
     Returns ``(module, configured_speed)`` where ``configured_speed`` is
     non-None when the module's nominal rate exceeds the target and the
     port must be clocked down (e.g. a QSFP28 DAC run at 25G, exactly the
-    lower-speed rows of Table 2 a).
+    lower-speed rows of Table 2 a).  The choice depends only on the
+    arguments and the fixed catalog, so it is memoised.
     """
     candidates = [m for m in TRANSCEIVER_CATALOG.values()
                   if compatible(port_type, m)]
@@ -278,26 +282,31 @@ class WiringBuilder:
         self.network = ISPNetwork()
         self._link_ids = itertools.count(0)
         self._peer_ids = itertools.count(0)
+        #: hostname -> cage speed -> unplugged ports in port-index order,
+        #: built on first use; plugged ports drop off the front lazily.
+        self._free: Dict[str, Dict[float, Deque[Port]]] = {}
 
     # -- port & link plumbing --------------------------------------------------------
 
     def _free_port(self, hostname: str,
-                   min_speed: float = 0.0) -> Optional[Port]:
-        """A free port on a router, fastest cages first."""
-        router = self.network.router(hostname)
-        free = [p for p in router.ports if not p.plugged
-                and p.port_type.max_speed_gbps >= min_speed]
-        if not free:
-            return None
-        return max(free, key=lambda p: p.port_type.max_speed_gbps)
-
-    def _free_port_slowest(self, hostname: str) -> Optional[Port]:
-        """A free port preferring the *slowest* cages (for customer links)."""
-        router = self.network.router(hostname)
-        free = [p for p in router.ports if not p.plugged]
-        if not free:
-            return None
-        return min(free, key=lambda p: p.port_type.max_speed_gbps)
+                   fastest: bool = True) -> Optional[Port]:
+        """A free port on a router: the lowest-index one in its fastest
+        cage, or in its slowest with ``fastest=False`` (customer links)."""
+        buckets = self._free.get(hostname)
+        if buckets is None:
+            buckets = {}
+            for port in self.network.router(hostname).ports:
+                if not port.plugged:
+                    buckets.setdefault(port.port_type.max_speed_gbps,
+                                       deque()).append(port)
+            self._free[hostname] = buckets
+        for speed in sorted(buckets, reverse=fastest):
+            bucket = buckets[speed]
+            while bucket and bucket[0].plugged:
+                bucket.popleft()
+            if bucket:
+                return bucket[0]
+        return None
 
     def _link(self, host_a: str, host_b: str, distance: str) -> Optional[Link]:
         """Create an internal link between two routers, if ports allow."""
@@ -326,8 +335,7 @@ class WiringBuilder:
 
     def _external_link(self, hostname: str, slow: bool) -> Optional[Link]:
         """Attach a customer/peer link to a router's free port."""
-        port = (self._free_port_slowest(hostname) if slow
-                else self._free_port(hostname))
+        port = self._free_port(hostname, fastest=not slow)
         if port is None:
             return None
         if slow:

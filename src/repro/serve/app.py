@@ -217,7 +217,13 @@ class NetpowerServer:
                                 endpoint="<bad>", started=time.perf_counter())
             return False
         headers = self._parse_headers(header_block)
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            await self._respond(writer, 400, error_body("bad content-length"),
+                                endpoint="<bad>", started=time.perf_counter(),
+                                keep_alive=False)
+            return False
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             await self._respond(writer, 413, error_body("body too large"),
                                 endpoint=target, started=time.perf_counter())

@@ -27,8 +27,8 @@ from repro.obs import metrics as obs_metrics
 from repro.serve import NetpowerServer, ServeConfig
 from repro.serve.batching import evaluate_group
 from repro.serve.cache import PredictionCache
-from repro.serve.schemas import (RequestError, parse_predict_request,
-                                 parse_whatif_request)
+from repro.serve.schemas import (RequestError, error_body,
+                                 parse_predict_request, parse_whatif_request)
 from repro.serve.state import FleetService
 
 PRESET = "synth-200"
@@ -336,6 +336,31 @@ def test_endpoint_statuses():
         for method, path, body, expected in checks:
             status, _headers, payload = await http(port, method, path, body)
             assert status == expected, (method, path, status, payload)
+
+    run_with_server(scenario)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "+5", "1_0", "\u00b2"])
+def test_bad_content_length_gets_400_and_close(length):
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        try:
+            writer.write((f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                          f"Content-Length: {length}\r\n\r\n"
+                          ).encode("latin-1"))
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), timeout=10)
+        finally:
+            writer.close()
+        head, _, payload = response.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in lines
+        assert payload == error_body("bad content-length")
+        status, _headers, _payload = await http(server.bound_port,
+                                                "GET", "/healthz")
+        assert status == 200
 
     run_with_server(scenario)
 

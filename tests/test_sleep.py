@@ -1,11 +1,14 @@
 """Hypnos link sleeping and the §8 savings accounting."""
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro import units
 from repro.network import FleetTrafficModel
+from repro.network.topology import Link, LinkEnd, LinkKind
 from repro.sleep import (
     Hypnos,
     HypnosConfig,
@@ -16,6 +19,7 @@ from repro.sleep import (
     plan_savings,
     port_saving_range_w,
 )
+from repro.sweep.matrix import TRAFFIC_PRESETS, build_topology
 
 
 @pytest.fixture
@@ -108,6 +112,155 @@ class TestSchedule:
 
     def test_empty_plan_fraction(self):
         assert SleepPlan().sleep_fraction(1) == 0.0
+
+
+def _oracle_connected(network, removed, require_redundancy):
+    """The connectivity check as the per-level planner made it."""
+    multigraph = network.internal_graph(exclude=removed)
+    if not nx.is_connected(nx.Graph(multigraph)):
+        return False
+    if require_redundancy:
+        collapsed = nx.Graph()
+        collapsed.add_nodes_from(multigraph.nodes)
+        for a, b in multigraph.edges():
+            if collapsed.has_edge(a, b):
+                collapsed[a][b]["multi"] = True
+            else:
+                collapsed.add_edge(a, b, multi=False)
+        for a, b in nx.bridges(collapsed):
+            if not collapsed[a][b]["multi"]:
+                return False
+    return True
+
+
+def _oracle_plan_window(network, matrix, config, level):
+    """One independent greedy run per demand level: the reference."""
+    links = {l.link_id: l for l in network.internal_links()}
+    current = matrix
+    removed = set()
+    utils = current.utilisations()
+    candidates = sorted(
+        (lid for lid in links if lid not in config.protected_links),
+        key=lambda lid: utils.get(lid, 0.0))
+    for link_id in candidates:
+        if (config.max_sleeping is not None
+                and len(removed) >= config.max_sleeping):
+            break
+        trial = removed | {link_id}
+        if not _oracle_connected(network, trial, config.require_redundancy):
+            continue
+        try:
+            rerouted = current.reroute_without(trial)
+        except ValueError:
+            continue
+        worst = 0.0
+        for lid, load in rerouted.base_link_loads().items():
+            if lid in trial:
+                continue
+            capacity = units.gbps_to_bps(links[lid].speed_gbps)
+            worst = max(worst, load * level / capacity)
+        if worst > config.max_utilisation:
+            continue
+        removed = trial
+        current = rerouted
+    return removed
+
+
+def _preset_case(topology, traffic_preset):
+    network = build_topology(topology, rng=np.random.default_rng(0))
+    traffic = FleetTrafficModel(network, rng=np.random.default_rng(1),
+                                **TRAFFIC_PRESETS[traffic_preset])
+    return network, traffic.matrix
+
+
+class TestSharedPlan:
+    """One shared greedy pass gives every level the per-level answer."""
+
+    @staticmethod
+    def _distinct_sets(network, matrix, config):
+        plan = Hypnos(network, matrix, config).plan(0, units.days(7))
+        expected = {}
+        for window in plan.windows:
+            level = window.demand_multiplier
+            if level not in expected:
+                expected[level] = _oracle_plan_window(network, matrix,
+                                                      config, level)
+            assert window.sleeping == expected[level], level
+        return len({frozenset(s) for s in expected.values()})
+
+    @pytest.mark.parametrize("topology,traffic_preset,cap", list(
+        itertools.product(("tiny", "small"), ("quiet", "busy"),
+                          (0.5, 0.1, 0.02))))
+    def test_matches_per_level_greedy(self, topology, traffic_preset, cap):
+        network, matrix = _preset_case(topology, traffic_preset)
+        self._distinct_sets(network, matrix,
+                            HypnosConfig(max_utilisation=cap))
+
+    def test_levels_diverge(self):
+        network, matrix = _preset_case("small", "quiet")
+        assert self._distinct_sets(
+            network, matrix, HypnosConfig(max_utilisation=0.02)) >= 3
+
+    @pytest.mark.parametrize("config", [
+        HypnosConfig(max_utilisation=0.02, require_redundancy=False),
+        HypnosConfig(max_utilisation=0.1, require_redundancy=False),
+        HypnosConfig(max_utilisation=0.02, max_sleeping=3),
+        HypnosConfig(max_utilisation=0.5, max_sleeping=0),
+    ], ids=["no-redundancy-0.02", "no-redundancy-0.1", "max-sleeping-3",
+            "max-sleeping-0"])
+    def test_config_variants(self, config):
+        network, matrix = _preset_case("small", "busy")
+        self._distinct_sets(network, matrix, config)
+
+    def test_protected_links(self):
+        network, matrix = _preset_case("small", "quiet")
+        unconstrained = Hypnos(network, matrix,
+                               HypnosConfig(max_utilisation=0.02))
+        pinned = frozenset(sorted(unconstrained.plan_window(0.5))[:2])
+        config = HypnosConfig(max_utilisation=0.02, protected_links=pinned)
+        assert self._distinct_sets(network, matrix, config) >= 2
+
+    def test_plan_window_is_one_level_of_the_pass(self):
+        network, matrix = _preset_case("small", "busy")
+        hypnos = Hypnos(network, matrix, HypnosConfig(max_utilisation=0.02))
+        levels = hypnos.plan_levels([0.3, 1.0, 1.7, 1.0])
+        assert sorted(levels) == [0.3, 1.0, 1.7]
+        for level, asleep in levels.items():
+            assert hypnos.plan_window(level) == asleep
+        assert hypnos.plan_levels([]) == {}
+
+    def test_connectivity_verdicts_match(self):
+        network, matrix = _preset_case("small", "quiet")
+        rng = np.random.default_rng(5)
+        ids = sorted(l.link_id for l in network.internal_links())
+        for require_redundancy in (True, False):
+            hypnos = Hypnos(network, matrix, HypnosConfig(
+                require_redundancy=require_redundancy))
+            verdicts = set()
+            for size in range(len(ids) + 1):
+                for _ in range(4):
+                    removed = set(rng.choice(ids, size=size,
+                                             replace=False).tolist())
+                    verdict = hypnos._stays_connected(removed)
+                    assert verdict == _oracle_connected(
+                        network, removed, require_redundancy), removed
+                    verdicts.add(verdict)
+            assert verdicts == {True, False}
+
+    def test_parallel_links_listed_either_way_are_redundant(self):
+        network, matrix = _preset_case("tiny", "quiet")
+        a, b = sorted(network.routers)[:2]
+        internal = [Link(9000, LinkKind.INTERNAL, 100.0, LinkEnd(a, 0),
+                         LinkEnd(b, 0)),
+                    Link(9001, LinkKind.INTERNAL, 100.0, LinkEnd(b, 1),
+                         LinkEnd(a, 1))]
+        network.links = internal
+        network.routers = {a: network.routers[a], b: network.routers[b]}
+        hypnos = Hypnos(network, matrix)
+        for removed in (set(), {9000}, {9001}, {9000, 9001}):
+            assert hypnos._stays_connected(removed) == _oracle_connected(
+                network, removed, True)
+        assert hypnos._stays_connected(set())
 
 
 class TestSavings:
