@@ -56,6 +56,64 @@ from repro.hardware.transceiver import (
 
 COUNTER_64_WRAP = 2 ** 64
 
+#: A per-router float, or an array of them over routers (the elementwise
+#: equations below serve both engines).
+Floats = Union[float, np.ndarray]
+
+#: Correlation time of the routers' AR(1) ambient power noise.
+NOISE_TAU_S = 600.0
+
+#: Standard deviation of each reporting quirk's PSU sensor noise (§6.2):
+#: relative to the true input power for ACCURATE, watts otherwise.
+SENSOR_NOISE_STD = {
+    PsuSensorQuirk.ACCURATE: 0.005,
+    PsuSensorQuirk.OFFSET: 0.3,
+    PsuSensorQuirk.PSEUDO_CONSTANT: 0.05,
+}
+
+
+def ambient_noise_coefficients(dt_s: float) -> Tuple[float, float]:
+    """``(rho, innovation_scale)`` of one AR(1) ambient-noise step.
+
+    A router's innovation standard deviation is ``noise_std_w *
+    innovation_scale``.
+    """
+    rho = float(np.exp(-dt_s / NOISE_TAU_S))
+    return rho, float(np.sqrt(max(0.0, 1 - rho ** 2)))
+
+
+def ambient_noise_step(state: Floats, rho: float, innovation_std: Floats,
+                       z: Floats) -> Floats:
+    """Next AR(1) ambient-noise state from a standard normal ``z``.
+
+    Elementwise over floats or arrays; ``0.0 + innovation_std * z`` is
+    exactly ``rng.normal(0.0, innovation_std)`` for the same draw.
+    """
+    return rho * state + (0.0 + innovation_std * z)
+
+
+def psu_sensor_power(quirk: PsuSensorQuirk, true_in: Floats, z: Floats,
+                     offset_w: Floats, quantum_w: Floats, bias_w: Floats,
+                     basis_w: Floats) -> Tuple[Floats, Floats]:
+    """``(reading, plateau)`` of PSU sensors sharing one quirk (§6.2).
+
+    Elementwise over floats or arrays; ``z`` is the poll's standard
+    normal (``0.0 + std * z`` is exactly ``rng.normal(0.0, std)``).
+    ACCURATE is faithful within noise and OFFSET adds ``offset_w``.
+    PSEUDO_CONSTANT reports its plateau ``basis_w`` (NaN before the
+    first reading) plus the per-boot ``bias_w``, re-quantised to
+    ``quantum_w`` once the true value drifts over 1.5 quanta from it.
+    """
+    noise = 0.0 + SENSOR_NOISE_STD[quirk] * z
+    if quirk == PsuSensorQuirk.ACCURATE:
+        return true_in * (1.0 + noise), basis_w
+    if quirk == PsuSensorQuirk.OFFSET:
+        return (true_in + offset_w) + noise, basis_w
+    # A NaN basis fails the comparison, so the first reading snaps too.
+    basis = np.where(np.abs(true_in - basis_w) <= 1.5 * quantum_w, basis_w,
+                     np.rint(true_in / quantum_w) * quantum_w)
+    return (basis + bias_w) + noise, basis
+
 
 @dataclass
 class Counters:
@@ -426,7 +484,8 @@ class VirtualRouter:
         self._noise_state = 0.0
         self._boots = 1
         self._sensor_bias_w = 0.0
-        self._pseudo_constant_basis: Optional[float] = None
+        #: PSEUDO_CONSTANT reporting plateau; NaN until the first poll.
+        self._pseudo_constant_basis = float("nan")
         self._static_dirty = True
         self._static_sum_w = 0.0
         #: Whether the device is powered at all (decommissioned routers
@@ -562,11 +621,10 @@ class VirtualRouter:
             port.advance(dt_s)
         if self.noise_std_w > 0:
             # AR(1) ambient noise with a ~10-minute correlation time.
-            rho = float(np.exp(-dt_s / 600.0))
-            innovation_std = self.noise_std_w * float(
-                np.sqrt(max(0.0, 1 - rho ** 2)))
-            self._noise_state = (rho * self._noise_state
-                                 + float(self.rng.normal(0.0, innovation_std)))
+            rho, scale = ambient_noise_coefficients(dt_s)
+            self._noise_state = float(ambient_noise_step(
+                self._noise_state, rho, self.noise_std_w * scale,
+                self.rng.standard_normal()))
 
     def power_cycle(self) -> None:
         """Unplug/replug power: counters reset, PSU sensors re-zero.
@@ -577,9 +635,9 @@ class VirtualRouter:
         self._boots += 1
         for port in self.ports:
             port.counters.reset()
-        self._pseudo_constant_basis = None
+        self._pseudo_constant_basis = float("nan")
         if self.spec.psu_quirk == PsuSensorQuirk.PSEUDO_CONSTANT:
-            quantum = self.spec.psu_report_quantum_w or 1.0
+            quantum = self.sensor_quantum_w
             self._sensor_bias_w = float(self.rng.uniform(-quantum, quantum))
 
     def apply_os_update(self, fan_bump_w: float = 45.0) -> None:
@@ -588,34 +646,27 @@ class VirtualRouter:
 
     # -- telemetry ----------------------------------------------------------------
 
-    def psu_reported_power_w(self, true_in: Optional[float] = None,
-                             ) -> Optional[float]:
+    @property
+    def sensor_quantum_w(self) -> float:
+        """Plateau step of PSEUDO_CONSTANT power reports (1 W if unset)."""
+        return self.spec.psu_report_quantum_w or 1.0
+
+    def psu_reported_power_w(self) -> Optional[float]:
         """Total input power as reported by the router's own PSU sensors.
 
-        Behaviour depends on the model's quirk (§6.2): faithful within
-        noise, constant offset, pseudo-constant plateau, or ``None``.
-        Collectors that already computed this router's wall power (e.g.
-        the vectorized engine) can pass it as ``true_in`` to skip the
-        recomputation; the sensor-noise draws are identical either way.
+        Behaviour depends on the model's quirk (§6.2), see
+        :func:`psu_sensor_power`: faithful within noise, constant
+        offset, pseudo-constant plateau, or ``None``.
         """
         quirk = self.spec.psu_quirk
         if quirk == PsuSensorQuirk.ABSENT or not self.powered:
             return None
-        if true_in is None:
-            true_in = self.wall_power_w()
-        if quirk == PsuSensorQuirk.ACCURATE:
-            return true_in * (1.0 + float(self.rng.normal(0.0, 0.005)))
-        if quirk == PsuSensorQuirk.OFFSET:
-            return (true_in + self.spec.psu_report_offset_w
-                    + float(self.rng.normal(0.0, 0.3)))
-        # PSEUDO_CONSTANT: a quantised plateau that only moves when the
-        # true value drifts far from the last basis, plus a per-boot bias.
-        quantum = self.spec.psu_report_quantum_w or 1.0
-        if (self._pseudo_constant_basis is None
-                or abs(true_in - self._pseudo_constant_basis) > 1.5 * quantum):
-            self._pseudo_constant_basis = round(true_in / quantum) * quantum
-        return (self._pseudo_constant_basis + self._sensor_bias_w
-                + float(self.rng.normal(0.0, 0.05)))
+        reading, basis = psu_sensor_power(
+            quirk, self.wall_power_w(), self.rng.standard_normal(),
+            self.spec.psu_report_offset_w, self.sensor_quantum_w,
+            self._sensor_bias_w, self._pseudo_constant_basis)
+        self._pseudo_constant_basis = float(basis)
+        return float(reading)
 
     def psu_sensor_snapshots(self) -> List[PsuSensorReading]:
         """One (P_in, P_out) reading per PSU -- the §9.2 one-time export."""

@@ -27,14 +27,18 @@ Contracts that keep the fast path exactly equivalent to the object path:
   re-snapshot, and patched in place -- O(router), not O(fleet) -- while
   events that reshape the link list still force a full rebuild.  Both
   paths produce bit-identical columns.  At the end of a run all
-  counters, offered traffic, and noise states are written back, so
-  post-run object inspection is indistinguishable from a scalar run.
+  counters, offered traffic, noise states and sensor plateaus are
+  written back, so post-run object inspection is indistinguishable from
+  a scalar run.
 * **Identical RNG streams.**  NumPy ``Generator`` array draws consume the
   underlying bit stream exactly like the equivalent sequence of scalar
   draws, so vectorised demand noise reproduces the object path's values
   bit for bit.  Per-router draws (AR(1) ambient noise, PSU sensor noise)
-  come from per-router generators and are issued in the same per-router
-  order as the object path.
+  come from per-router generators: each router's standard normals for a
+  block of steps are drawn in one call, laid out in the order the object
+  path consumes them, and used one column per step (see
+  :meth:`FleetState.draw_block` and docs/PERFORMANCE.md, "Per-router
+  draw order").
 * **Identical arithmetic where it matters.**  Elementwise array formulas
   mirror the scalar expressions' association order, counter accumulation
   replicates ``int(prev + inc)`` truncation via ``np.floor``, and the
@@ -60,7 +64,9 @@ import numpy as np
 from repro import units
 from repro.activity import carrying_traffic_mask
 from repro.hardware.psu import QuadraticLossCurve, ScaledLossCurve, SharingPolicy
-from repro.hardware.router import OfferedTraffic, Port, VirtualRouter
+from repro.hardware.router import (OfferedTraffic, Port, PsuSensorQuirk,
+                                   VirtualRouter, ambient_noise_coefficients,
+                                   ambient_noise_step, psu_sensor_power)
 from repro.obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -69,9 +75,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.ledger import LedgerAccumulator
     from repro.telemetry.snmp import SnmpCollector
 
-#: Noise correlation time of the routers' AR(1) ambient noise (matches
-#: :meth:`VirtualRouter.advance`).
-_NOISE_TAU_S = 600.0
+#: PSU sensor quirks in the order of the ``sensor_quirk`` column codes.
+_QUIRKS: Tuple[PsuSensorQuirk, ...] = tuple(PsuSensorQuirk)
+_ABSENT = _QUIRKS.index(PsuSensorQuirk.ABSENT)
+
+#: Most steps one block of pre-drawn per-router normals covers (at most
+#: two draws per router per step: ambient noise and the SNMP poll).
+DRAW_BLOCK_STEPS = 64
 
 M_REFRESH = metrics.counter(
     "netpower_sim_engine_refresh_total",
@@ -145,7 +155,9 @@ class FleetState:
     * **Dynamic state** (counters, offered traffic, noise) is owned by the
       columns while a vectorized run is in flight and written back to the
       objects via :meth:`flush_counters` / :meth:`flush_traffic` /
-      :meth:`flush_noise`.  It survives :meth:`refresh`.
+      :meth:`flush_noise`.  It survives :meth:`refresh`.  The sensor
+      plateau is dynamic too, but is flushed by :meth:`flush_noise`
+      before every boundary and re-read from the objects after it.
     * **Configuration** (static power, link-up masks, PSU coefficients,
       link wiring) is derived from the objects and rebuilt wholesale by
       :meth:`refresh` whenever an event may have mutated topology or
@@ -183,6 +195,13 @@ class FleetState:
         self.base_fixed = np.zeros(self.n_routers)
         self.noise_std = np.zeros(self.n_routers)
         self.static_sum = np.zeros(self.n_routers)
+        # PSU sensor inputs of repro.hardware.router.psu_sensor_power;
+        # the plateau (sensor_basis_w) is moved by polls.
+        self.sensor_quirk = np.zeros(self.n_routers, dtype=np.int8)
+        self.sensor_offset_w = np.zeros(self.n_routers)
+        self.sensor_quantum_w = np.ones(self.n_routers)
+        self.sensor_bias_w = np.zeros(self.n_routers)
+        self.sensor_basis_w = np.full(self.n_routers, np.nan)
         # Attribution split of the per-port static power (the three
         # catalog terms of static_w) plus the sleep counterfactual, and
         # their per-router sums -- consumed by the energy ledger, kept
@@ -295,17 +314,19 @@ class FleetState:
                 packet_bytes=float(self.packet_bytes[f]))
 
     def flush_noise(self, hostnames: Optional[Sequence[str]] = None) -> None:
-        """Write the AR(1) noise states back into the routers."""
+        """Write the AR(1) noise states and the PSU sensors' plateaus
+        back into the routers."""
         if hostnames is None:
-            for i, router in enumerate(self.routers):
-                router._noise_state = float(self.noise[i])
-            return
-        for host in hostnames:
-            i = self.router_index[host]
-            self.routers[i]._noise_state = float(self.noise[i])
+            indices: Sequence[int] = range(self.n_routers)
+        else:
+            indices = [self.router_index[host] for host in hostnames]
+        for i in indices:
+            router = self.routers[i]
+            router._noise_state = float(self.noise[i])
+            router._pseudo_constant_basis = float(self.sensor_basis_w[i])
 
     def flush_all(self) -> None:
-        """Full write-back: counters, traffic, and noise."""
+        """Full write-back: counters, traffic, noise and sensor plateaus."""
         self.flush_counters()
         self.flush_traffic()
         self.flush_noise()
@@ -458,23 +479,26 @@ class FleetState:
         """Recompute one router's scalar columns from its object.
 
         ``(p_base + fan_bump) + thermal`` matches the association order
-        of ``VirtualRouter.wall_referred_power_w``.
+        of ``VirtualRouter.wall_referred_power_w``.  The sensor plateau
+        is read back too: boundaries flush it first, and a power cycle
+        resets it on the object.
         """
         router = self.routers[i]
+        spec = router.spec
         self.powered[i] = router.powered
-        self.base_fixed[i] = ((router.spec.p_base_w + router.fan_bump_w)
+        self.base_fixed[i] = ((spec.p_base_w + router.fan_bump_w)
                               + router.thermal_power_w())
         self.noise_std[i] = router.noise_std_w
+        self.sensor_quirk[i] = _QUIRKS.index(spec.psu_quirk)
+        self.sensor_offset_w[i] = spec.psu_report_offset_w
+        self.sensor_quantum_w[i] = router.sensor_quantum_w
+        self.sensor_bias_w[i] = router._sensor_bias_w
+        self.sensor_basis_w[i] = router._pseudo_constant_basis
 
     def _refresh_routers(self) -> None:
         for i in range(self.n_routers):
             self._patch_router_scalars(i)
         np.take(self.powered, self.port_router, out=self.port_powered)
-        # Routers with ambient noise enabled: the only ones whose private
-        # RNG is drawn per step, so advance_noise skips the rest (the
-        # object path's noise_std_w > 0 guard skips the same draws).
-        self._noise_idx = [i for i in range(self.n_routers)
-                           if self.noise_std[i] > 0.0]
         # Per-router wall->DC inversion grids (reuse each router's own
         # lazily built grid so interpolation matches np.interp on it).
         # The grid depends only on the *nominal* PSU group, which is a
@@ -845,20 +869,79 @@ class FleetState:
         # call in the step loop); consumed once, never stale.
         self._step_cache = (rx_tx, rx_pps, tx_pps)
 
+    def draw_block(self, polled: np.ndarray) -> None:
+        """Pre-draw every router's standard normals for the next steps.
+
+        ``polled`` flags which steps of the block poll SNMP.  Each
+        drawing router makes one ``rng.standard_normal`` call, laid out
+        in the object path's order (per step: ambient draw, then sensor
+        draw) and split into a ``(steps, routers)`` ambient and a
+        ``(polls, routers)`` sensor matrix, read a row per step.  The
+        caller ends blocks at event boundaries, where other draws may
+        happen (docs/PERFORMANCE.md, "Per-router draw order").
+
+        Powered routers draw once per step if their ambient noise is on
+        and once per poll if their PSU reports power; dark routers draw
+        nothing.
+        """
+        self._noise_on = self.powered & (self.noise_std > 0.0)
+        reports = self.powered & (self.sensor_quirk != _ABSENT)
+        self._sensor_groups = [
+            (quirk, np.flatnonzero(reports & (self.sensor_quirk == code)))
+            for code, quirk in enumerate(_QUIRKS) if code != _ABSENT]
+        polled = np.asarray(polled, dtype=bool)
+        poll_steps = np.flatnonzero(polled)
+        ambient_z = np.zeros((len(polled), self.n_routers))
+        sensor_z = np.zeros((len(poll_steps), self.n_routers))
+        for ambient, sensor, mask in (
+                (1, 1, self._noise_on & reports),
+                (1, 0, self._noise_on & ~reports),
+                (0, 1, ~self._noise_on & reports)):
+            rows = np.flatnonzero(mask)
+            per_step = ambient + sensor * polled.astype(np.int64)
+            first = np.cumsum(per_step) - per_step
+            count = int(per_step.sum())
+            if count == 0:
+                continue
+            block = np.empty((len(rows), count))
+            for k, i in enumerate(rows.tolist()):
+                self.routers[i].rng.standard_normal(out=block[k])
+            if ambient:
+                ambient_z[:, rows] = block[:, first].T
+            if sensor:
+                sensor_z[:, rows] = block[:, first[poll_steps] + ambient].T
+        self._ambient_z = ambient_z
+        self._sensor_z = sensor_z
+        self._ambient_next = 0
+        self._sensor_next = 0
+
     def advance_noise(self, rho: float, innovation_std: np.ndarray) -> None:
-        """One AR(1) noise update per powered router (same draws as
-        ``VirtualRouter.advance``; one scalar draw per router keeps each
-        router's private RNG stream identical to the object path).  Only
-        routers with noise enabled are visited -- the object path's
-        ``noise_std_w > 0`` guard skips exactly the same draws."""
-        noise = self.noise
-        routers = self.routers
-        for i in self._noise_idx:
-            router = routers[i]
-            if router.powered:
-                noise[i] = (rho * noise[i]
-                            + float(router.rng.normal(
-                                0.0, innovation_std[i])))
+        """One AR(1) noise update of every powered router with noise on,
+        from the next row of the draw block (see :meth:`draw_block`)."""
+        z = self._ambient_z[self._ambient_next]
+        self._ambient_next += 1
+        np.copyto(self.noise,
+                  ambient_noise_step(self.noise, rho, innovation_std, z),
+                  where=self._noise_on)
+
+    def psu_reported_power(self, wall: np.ndarray) -> np.ndarray:
+        """Every router's PSU-reported input power for one SNMP poll.
+
+        ``wall`` is this step's :meth:`wall_power`.  Routers are
+        evaluated one quirk group at a time through
+        :func:`~repro.hardware.router.psu_sensor_power` with the next
+        row of the draw block; dark routers and ABSENT platforms report
+        NaN.  PSEUDO_CONSTANT plateaus advance in ``sensor_basis_w``.
+        """
+        z = self._sensor_z[self._sensor_next]
+        self._sensor_next += 1
+        power = np.full(self.n_routers, np.nan)
+        for quirk, rows in self._sensor_groups:
+            power[rows], self.sensor_basis_w[rows] = psu_sensor_power(
+                quirk, wall[rows], z[rows], self.sensor_offset_w[rows],
+                self.sensor_quantum_w[rows], self.sensor_bias_w[rows],
+                self.sensor_basis_w[rows])
+        return power
 
     def wall_power(self,
                    components: Optional[np.ndarray] = None) -> np.ndarray:
@@ -997,29 +1080,35 @@ class VectorizedEngine:
             new_external_link_ids=simulation._new_external_link_ids,
             view_hosts=simulation._view_hosts())
 
-    def run_steps(self, n_steps: int, step_s: float,
-                  pending: Sequence["FleetEvent"],
-                  collector: "SnmpCollector",
-                  snmp_period_s: float, detailed_hosts: Sequence[str],
-                  grid: np.ndarray, total_power: np.ndarray,
+    def run_steps(self, step_s: float, pending: Sequence["FleetEvent"],
+                  collector: "SnmpCollector", grid: np.ndarray,
+                  polled_steps: np.ndarray, total_power: np.ndarray,
                   total_traffic: np.ndarray,
                   ledger: Optional["LedgerAccumulator"] = None) -> None:
-        """Advance the fleet ``n_steps`` columnar steps in place.
+        """Advance the fleet one columnar step per entry of ``grid``.
 
         Mirrors the object engine's stepping contract exactly --
-        events at step boundaries, SNMP polling cadence, observer and
-        Autopower hooks -- filling the caller's pre-allocated
-        ``grid`` / ``total_power`` / ``total_traffic`` columns.  With a
-        ``ledger``, each step additionally writes the attribution split
-        into the ledger's buffer (see :meth:`FleetState.wall_power`);
-        the wall-power floats are unchanged either way.
+        events at step boundaries, SNMP polls on the ``polled_steps``
+        of the run's schedule (``grid`` holds the sample times), observer
+        and Autopower hooks -- filling the caller's pre-allocated
+        ``total_power`` / ``total_traffic`` columns.  With a ``ledger``,
+        each step additionally writes the attribution split into the
+        ledger's buffer (see :meth:`FleetState.wall_power`); the
+        wall-power floats are unchanged either way.
+
+        Per-router normals come in blocks (:meth:`FleetState.draw_block`)
+        of at most :data:`DRAW_BLOCK_STEPS` steps that end at event
+        boundaries: events may draw from a router's RNG or change who
+        draws.
         """
         sim = self.sim
         state = self.state
-        rho = float(np.exp(-step_s / _NOISE_TAU_S))
-        innovation_std = state.noise_std * float(
-            np.sqrt(max(0.0, 1 - rho ** 2)))
-        next_poll_s = sim.clock_s
+        n_steps = len(grid)
+        rho, innovation_scale = ambient_noise_coefficients(step_s)
+        innovation_std = state.noise_std * innovation_scale
+        # Clock at the start of every step: what events are due against.
+        step_starts = np.concatenate(([sim.clock_s], grid[:-1]))
+        block_end = 0
         event_idx = 0
         hostnames = [r.hostname for r in state.routers]
         # Step latencies are collected locally and handed to the
@@ -1099,17 +1188,21 @@ class VectorizedEngine:
                         # side-channel as patch_t0 above.
                         patch_dt = time.perf_counter() - patch_t0
                         patch_durations.append(patch_dt)
-                innovation_std = state.noise_std * float(
-                    np.sqrt(max(0.0, 1 - rho ** 2)))
+                innovation_std = state.noise_std * innovation_scale
+            if step == block_end:
+                block_end = min(step + DRAW_BLOCK_STEPS, n_steps)
+                if event_idx < len(pending):
+                    block_end = min(block_end, int(np.searchsorted(
+                        step_starts, pending[event_idx].at_s)))
+                with region("kernel.advance_noise"):
+                    state.draw_block(polled_steps[step:block_end])
             with region("kernel.apply_traffic"):
                 ingress = state.apply_traffic(t)
             with region("kernel.advance_counters"):
                 state.advance_counters(step_s)
             with region("kernel.advance_noise"):
                 state.advance_noise(rho, innovation_std)
-            sim.clock_s += step_s
-            t_sample = sim.clock_s
-            grid[step] = t_sample
+            t_sample = sim.clock_s = float(grid[step])
             if ledger is None:
                 with region("kernel.wall_power"):
                     wall = state.wall_power()
@@ -1121,11 +1214,10 @@ class VectorizedEngine:
                                            ledger.power_buf, wall)
             total_power[step] = wall.sum()
             total_traffic[step] = ingress
-            polled = t_sample >= next_poll_s
+            polled = bool(polled_steps[step])
             if polled:
                 M_SNMP_POLLS.inc()
-                collector.record_vector(t_sample, hostnames, wall, state)
-                next_poll_s += max(snmp_period_s, step_s)
+                collector.record_vector(t_sample, wall, state)
             if state._view_routers:
                 state.sync_views()
             if sim.autopower_clients:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -72,6 +72,28 @@ M_FLEET_TRAFFIC = metrics.gauge(
     "Total external ingress traffic at the last simulated step")
 
 
+def step_schedule(start_s: float, step_s: float, n_steps: int,
+                  snmp_period_s: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample time of every step of a run, and which steps poll SNMP.
+
+    The clock advances by repeated addition of ``step_s`` from
+    ``start_s``; a step polls once its sample time reaches the next due
+    poll, and polls fall due every ``max(snmp_period_s, step_s)`` from
+    the start.  Both engines step on this one schedule, and the
+    vectorized engine sizes its blocks of pre-drawn sensor noise from it.
+    """
+    grid = np.empty(n_steps)
+    polled = np.zeros(n_steps, dtype=bool)
+    clock = next_poll_s = start_s
+    for step in range(n_steps):
+        clock += step_s
+        grid[step] = clock
+        if clock >= next_poll_s:
+            polled[step] = True
+            next_poll_s += max(snmp_period_s, step_s)
+    return grid, polled
+
+
 @dataclass(frozen=True)
 class StepSnapshot:
     """What a :class:`StepObserver` sees after each simulation step.
@@ -106,6 +128,15 @@ class StepObserver:
     and receive one :class:`StepSnapshot` per step, *after* the step's
     SNMP poll and Autopower ticks -- so collector state and meter buffers
     are current when ``on_step`` runs.
+
+    Observers never draw from a router's RNG: no
+    ``psu_reported_power_w`` or ``psu_sensor_snapshots`` calls, read what
+    the SNMP collector recorded instead (as
+    :mod:`repro.telemetry.sources` does).  Between events the vectorized
+    engine has already drawn each router's ambient and sensor noise for a
+    block of steps (docs/PERFORMANCE.md, "Per-router draw order"), so an
+    observer's draw would shift every later value of that router's
+    stream and the two engines would no longer agree.
     """
 
     def view_hosts(self) -> Sequence[str]:
@@ -313,7 +344,9 @@ class NetworkSimulation:
                                        track_series=tracing.enabled())
 
         n_steps = int(round(duration_s / step_s))
-        grid = np.empty(n_steps)
+        grid, polled_steps = step_schedule(self.clock_s, step_s, n_steps,
+                                           snmp_period_s)
+        collector.reserve(int(polled_steps.sum()))
         total_power = np.empty(n_steps)
         total_traffic = np.empty(n_steps)
 
@@ -330,13 +363,12 @@ class NetworkSimulation:
                     vec = VectorizedEngine(self)
                     self.last_vector_engine = vec
                     vec.run_steps(
-                        n_steps, step_s, pending, collector, snmp_period_s,
-                        detailed_hosts, grid, total_power, total_traffic,
-                        ledger=ledger)
+                        step_s, pending, collector, grid, polled_steps,
+                        total_power, total_traffic, ledger=ledger)
                 else:
                     self._run_steps_object(
-                        n_steps, step_s, pending, collector, snmp_period_s,
-                        grid, total_power, total_traffic, ledger=ledger)
+                        step_s, pending, collector, grid, polled_steps,
+                        total_power, total_traffic, ledger=ledger)
 
             with tracing.span("sim.finalize",
                               sim_clock=lambda: self.clock_s):
@@ -371,9 +403,9 @@ class NetworkSimulation:
                          if n_steps else 0.0})
         return result
 
-    def _run_steps_object(self, n_steps: int, step_s: float, pending,
-                          collector: SnmpCollector, snmp_period_s: float,
-                          grid: np.ndarray, total_power: np.ndarray,
+    def _run_steps_object(self, step_s: float, pending,
+                          collector: SnmpCollector, grid: np.ndarray,
+                          polled_steps: np.ndarray, total_power: np.ndarray,
                           total_traffic: np.ndarray,
                           ledger: Optional["LedgerAccumulator"] = None,
                           ) -> None:
@@ -381,7 +413,6 @@ class NetworkSimulation:
         if ledger is not None:
             from repro.network.attribution import router_breakdown
             from repro.obs.ledger import COMPONENTS
-        next_poll_s = self.clock_s
         event_idx = 0
         # Kernel regions resolve to a shared no-op context while
         # profiling is disabled (see repro.obs.profile).
@@ -389,7 +420,7 @@ class NetworkSimulation:
         observing = metrics.enabled()
         observers = self.observers
         step_durations: List[float] = []
-        for step in range(n_steps):
+        for step in range(len(grid)):
             if observing:
                 # netpower: ignore[NP-DET-001] -- wall-clock here only
                 # feeds the step-latency histogram (an observability
@@ -405,9 +436,7 @@ class NetworkSimulation:
             with region("kernel.advance_counters"):
                 for router in self.network.routers.values():
                     router.advance(step_s)
-            self.clock_s += step_s
-            t_sample = self.clock_s
-            grid[step] = t_sample
+            t_sample = self.clock_s = float(grid[step])
             fleet_attr = None
             if ledger is not None:
                 # router_breakdown returns the same wall power as
@@ -443,11 +472,10 @@ class NetworkSimulation:
                 with region("kernel.wall_power"):
                     total_power[step] = self.network.total_wall_power_w()
             total_traffic[step] = ingress
-            polled = t_sample >= next_poll_s
+            polled = bool(polled_steps[step])
             if polled:
                 M_SNMP_POLLS.inc()
                 collector.record(t_sample)
-                next_poll_s += max(snmp_period_s, step_s)
             for client in self.autopower_clients.values():
                 client.tick(t_sample)
             if observers:

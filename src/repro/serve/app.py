@@ -49,6 +49,19 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Stream buffer limit (headers must fit well within this).
 STREAM_LIMIT = 1024 * 1024
 
+#: Routed paths.  They are the only ``endpoint`` metric labels besides
+#: :data:`OTHER_ENDPOINT` (any other path) and ``<bad>`` (unparseable
+#: requests), so client-chosen paths cannot grow the label set.
+ENDPOINTS = frozenset(("/healthz", "/readyz", "/metrics", "/fleet",
+                       "/predict", "/whatif"))
+OTHER_ENDPOINT = "<other>"
+
+
+def endpoint_label(path: str) -> str:
+    """The ``endpoint`` metric label of a request path."""
+    return path if path in ENDPOINTS else OTHER_ENDPOINT
+
+
 M_REQUESTS = metrics.counter(
     "netpower_serve_requests_total",
     "HTTP requests served, by endpoint and status.",
@@ -214,7 +227,8 @@ class NetpowerServer:
                 request_line.decode("latin-1").split(" ", 2)
         except ValueError:
             await self._respond(writer, 400, error_body("bad request line"),
-                                endpoint="<bad>", started=time.perf_counter())
+                                endpoint="<bad>", started=time.perf_counter(),
+                                keep_alive=False)
             return False
         headers = self._parse_headers(header_block)
         raw_length = headers.get("content-length", "0") or "0"
@@ -224,17 +238,20 @@ class NetpowerServer:
                                 keep_alive=False)
             return False
         length = int(raw_length)
+        path = target.split("?", 1)[0]
         if length > MAX_BODY_BYTES:
             await self._respond(writer, 413, error_body("body too large"),
-                                endpoint=target, started=time.perf_counter())
+                                endpoint=endpoint_label(path),
+                                started=time.perf_counter(),
+                                keep_alive=False)
             return False
         body = await reader.readexactly(length) if length else b""
         started = time.perf_counter()
-        path = target.split("?", 1)[0]
         status, payload, content_type, extra = await self._route(
             method, path, body)
         keep_alive = headers.get("connection", "").lower() != "close"
-        await self._respond(writer, status, payload, endpoint=path,
+        await self._respond(writer, status, payload,
+                            endpoint=endpoint_label(path),
                             started=started, content_type=content_type,
                             keep_alive=keep_alive, extra=extra)
         return keep_alive

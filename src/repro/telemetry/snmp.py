@@ -11,13 +11,12 @@ only contain ``P_in``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.psu import PsuSensorReading
-from repro.hardware.router import Counters, PsuSensorQuirk, VirtualRouter
+from repro.hardware.router import Counters, VirtualRouter
 from repro.obs import profile
 from repro.telemetry.traces import CounterSeries, InterfaceTrace, TimeSeries
 
@@ -80,14 +79,9 @@ class SnmpAgent:
         """sysName of the device."""
         return self.router.hostname
 
-    def poll_power(self, true_in: Optional[float] = None) -> Optional[float]:
-        """PSU-reported total input power, or None if unsupported.
-
-        ``true_in`` optionally supplies the router's already-computed wall
-        power so the sensor model does not recompute it (used by the
-        vectorized engine, whose columnar state holds the fresh value).
-        """
-        return self.router.psu_reported_power_w(true_in=true_in)
+    def poll_power(self) -> Optional[float]:
+        """PSU-reported total input power, or None if unsupported."""
+        return self.router.psu_reported_power_w()
 
     def poll_counters(self) -> Dict[str, Counters]:
         """Current 64-bit counters per interface."""
@@ -162,6 +156,11 @@ class SnmpCollector:
     to a subset of routers via ``detailed_hosts`` to keep month-scale
     campaigns at fleet size tractable -- power is always recorded for
     every router.
+
+    Power readings live in one float64 ``(hosts, polls)`` buffer, one
+    row per router in fleet order and one column per poll (NaN where a
+    router reports nothing); it grows by doubling unless
+    :meth:`reserve` sized it up front.
     """
 
     def __init__(self, routers: Sequence[VirtualRouter],
@@ -176,116 +175,86 @@ class SnmpCollector:
                 raise ValueError(
                     f"detailed hosts not in the fleet: {sorted(unknown)}")
         self._timestamps: List[float] = []
-        self._power: Dict[str, List[float]] = {h: [] for h in self.agents}
+        self._row = {h: i for i, h in enumerate(self.agents)}
+        self._power = np.empty((len(self.agents), 0))
         # host -> iface -> (ts, rx_oct, tx_oct, rx_pkt, tx_pkt) lists
         self._counters: Dict[str, Dict[str, List[List]]] = {
             h: {} for h in self.detailed_hosts}
-        # Per-fleet-order poll rows for record_vector(), built lazily on
-        # the first columnar poll (see _vector_rows_for).
-        self._vector_key: Optional[Tuple[str, ...]] = None
-        self._vector_rows: List[Tuple[List[float], Optional[VirtualRouter],
-                                      bool]] = []
+        self._detailed_order = [h for h in self.agents
+                                if h in self.detailed_hosts]
 
-    def record(self, timestamp_s: float,
-               true_power_by_host: Optional[Dict[str, float]] = None) -> None:
-        """Take one poll of the whole fleet.
+    def reserve(self, n_polls: int) -> None:
+        """Make room for ``n_polls`` more polls without regrowing."""
+        self._grow(len(self._timestamps) + n_polls)
 
-        ``true_power_by_host`` optionally maps hostnames to their current
-        true wall power; hosts present in it skip the per-router wall
-        recomputation (see :meth:`SnmpAgent.poll_power`).
+    def _grow(self, n_polls: int) -> None:
+        hosts, capacity = self._power.shape
+        if n_polls > capacity:
+            grown = np.empty((hosts, max(n_polls, 2 * capacity)))
+            grown[:, :capacity] = self._power
+            self._power = grown
+
+    def _append(self, timestamp_s: float, power: np.ndarray) -> None:
+        """Store one poll's power column (buffer row order)."""
+        n = len(self._timestamps)
+        self._grow(n + 1)
+        self._power[:, n] = power
+        self._timestamps.append(timestamp_s)
+
+    def _record_counters(self, hostname: str, timestamp_s: float,
+                         columns: Sequence[Sequence]) -> None:
+        """Append one poll of a detailed host's plugged interfaces.
+
+        ``columns`` holds the rx/tx octet and packet counters of every
+        port of the router, in port order.
         """
+        rx_oct, tx_oct, rx_pkt, tx_pkt = columns
+        store = self._counters[hostname]
+        for k, port in enumerate(self.agents[hostname].router.ports):
+            if not port.plugged:
+                continue
+            slot = store.setdefault(port.name, [[], [], [], [], []])
+            slot[0].append(timestamp_s)
+            slot[1].append(int(rx_oct[k]))
+            slot[2].append(int(tx_oct[k]))
+            slot[3].append(int(rx_pkt[k]))
+            slot[4].append(int(tx_pkt[k]))
+
+    def record(self, timestamp_s: float) -> None:
+        """Take one poll of the whole fleet."""
         with profile.region("kernel.snmp_poll"):
-            self._timestamps.append(timestamp_s)
-            for hostname, agent in self.agents.items():
-                true_in = (None if true_power_by_host is None
-                           else true_power_by_host.get(hostname))
-                power = agent.poll_power(true_in=true_in)
-                self._power[hostname].append(
-                    power if power is not None else np.nan)
-                if hostname not in self.detailed_hosts:
-                    continue
-                store = self._counters[hostname]
-                ports_by_name = {p.name: p for p in agent.router.ports}
-                for iface_name, counters in agent.poll_counters().items():
-                    port = ports_by_name[iface_name]
-                    if not port.plugged:
-                        continue
-                    slot = store.setdefault(iface_name,
-                                            [[], [], [], [], []])
-                    slot[0].append(timestamp_s)
-                    slot[1].append(counters.rx_octets)
-                    slot[2].append(counters.tx_octets)
-                    slot[3].append(counters.rx_packets)
-                    slot[4].append(counters.tx_packets)
+            power = np.full(len(self.agents), np.nan)
+            for row, (hostname, agent) in enumerate(self.agents.items()):
+                value = agent.poll_power()
+                if value is not None:
+                    power[row] = value
+                if hostname in self.detailed_hosts:
+                    counters = agent.poll_counters().values()
+                    self._record_counters(hostname, timestamp_s, (
+                        [c.rx_octets for c in counters],
+                        [c.tx_octets for c in counters],
+                        [c.rx_packets for c in counters],
+                        [c.tx_packets for c in counters]))
+            self._append(timestamp_s, power)
 
-    def _vector_rows_for(self, hostnames: Sequence[str],
-                         ) -> List[Tuple[str, List[float],
-                                         Optional[VirtualRouter], bool]]:
-        """Poll rows aligned with the engine's fleet order.
-
-        One ``(hostname, power samples, router, detailed)`` row per
-        hostname; the router slot is ``None`` for platforms whose PSU
-        sensor is absent (§6.2) -- those rows always record NaN without
-        touching the router object, mirroring the early-None in
-        :meth:`VirtualRouter.psu_reported_power_w`.
-        """
-        key = tuple(hostnames)
-        if self._vector_key != key:
-            rows: List[Tuple[str, List[float],
-                             Optional[VirtualRouter], bool]] = []
-            for hostname in key:
-                router = self.agents[hostname].router
-                absent = router.spec.psu_quirk == PsuSensorQuirk.ABSENT
-                rows.append((hostname, self._power[hostname],
-                             None if absent else router,
-                             hostname in self.detailed_hosts))
-            self._vector_key = key
-            self._vector_rows = rows
-        return self._vector_rows
-
-    def record_vector(self, timestamp_s: float, hostnames: Sequence[str],
-                      true_power_w: np.ndarray,
+    def record_vector(self, timestamp_s: float, true_power_w: np.ndarray,
                       state: "FleetState") -> None:
         """Columnar-engine poll: byte-identical records, no object detour.
 
         The vectorized engine hands its per-router wall-power column and
-        its :class:`~repro.network.engine.FleetState` straight in, so a
-        poll skips the fleet-wide ``dict(zip(...))`` power map, the
-        object-counter write-back for detailed hosts, and the per-poll
-        interface-dict rebuild that :meth:`record` pays; detailed-host
-        counters are read directly off the columnar arrays
-        (:meth:`~repro.network.engine.FleetState.counters_view`).
-        Sensor-noise draws still come one router at a time from each
-        router's private generator -- the streams are per-router, so the
-        recorded values match :meth:`record` bit for bit.  ``hostnames``
-        must be the fleet order the power column is indexed by.
+        its :class:`~repro.network.engine.FleetState` straight in: the
+        PSU-reported power of the whole fleet is one
+        :meth:`~repro.network.engine.FleetState.psu_reported_power` call
+        (same sensor equation and per-router draws as :meth:`record`),
+        and detailed-host counters are read directly off the columnar
+        arrays (:meth:`~repro.network.engine.FleetState.counters_view`).
+        The state must list the collector's routers in the same order.
         """
         with profile.region("kernel.snmp_poll"):
-            self._timestamps.append(timestamp_s)
-            wall = true_power_w.tolist()
-            for (hostname, samples, router, detailed), true_in in zip(
-                    self._vector_rows_for(hostnames), wall):
-                if router is None or not router.powered:
-                    samples.append(np.nan)
-                else:
-                    power = router.psu_reported_power_w(true_in=true_in)
-                    samples.append(power if power is not None else np.nan)
-                if not detailed:
-                    continue
-                rx_oct, tx_oct, rx_pkt, tx_pkt = state.counters_view(
-                    hostname)
-                store = self._counters[hostname]
-                ports = self.agents[hostname].router.ports
-                for k, port in enumerate(ports):
-                    if not port.plugged:
-                        continue
-                    slot = store.setdefault(port.name,
-                                            [[], [], [], [], []])
-                    slot[0].append(timestamp_s)
-                    slot[1].append(int(rx_oct[k]))
-                    slot[2].append(int(tx_oct[k]))
-                    slot[3].append(int(rx_pkt[k]))
-                    slot[4].append(int(tx_pkt[k]))
+            self._append(timestamp_s, state.psu_reported_power(true_power_w))
+            for hostname in self._detailed_order:
+                self._record_counters(hostname, timestamp_s,
+                                      state.counters_view(hostname))
 
     def last_poll_s(self) -> Optional[float]:
         """Timestamp of the most recent poll, or None before the first."""
@@ -299,13 +268,13 @@ class SnmpCollector:
         None if the router has never been polled or its platform does not
         report a power value (the NaN case, §6.2).
         """
-        samples = self._power.get(hostname)
-        if not samples:
+        row = self._row.get(hostname)
+        if row is None or not self._timestamps:
             return None
-        value = samples[-1]
-        if value is None or np.isnan(value):
+        value = float(self._power[row, len(self._timestamps) - 1])
+        if np.isnan(value):
             return None
-        return float(value)
+        return value
 
     def counters_tail(self, hostname: str, n: int = 2,
                       ) -> Dict[str, List[List]]:
@@ -322,11 +291,17 @@ class SnmpCollector:
                 for iface, slot in store.items()}
 
     def finalize(self) -> Dict[str, RouterTrace]:
-        """Build immutable traces from everything recorded so far."""
+        """Build immutable traces from everything recorded so far.
+
+        Each router's power series is a read-only view of its buffer
+        row; later polls write only columns past it (or a regrown
+        buffer), so the view never changes.
+        """
         ts = np.array(self._timestamps, dtype=float)
+        power = self._power[:, :len(ts)]
+        power.flags.writeable = False
         traces: Dict[str, RouterTrace] = {}
-        for hostname, agent in self.agents.items():
-            power = TimeSeries(ts, np.array(self._power[hostname]))
+        for row, (hostname, agent) in enumerate(self.agents.items()):
             interfaces: Dict[str, InterfaceTrace] = {}
             for iface_name, slot in self._counters.get(hostname, {}).items():
                 iface_ts = np.array(slot[0], dtype=float)
@@ -340,7 +315,7 @@ class SnmpCollector:
             traces[hostname] = RouterTrace(
                 hostname=hostname,
                 router_model=agent.router.model_name,
-                power=power,
+                power=TimeSeries(ts, power[row]),
                 interfaces=interfaces,
                 inventory=agent.router.inventory(),
             )

@@ -25,6 +25,7 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.serve import NetpowerServer, ServeConfig
+from repro.serve.app import ENDPOINTS, OTHER_ENDPOINT
 from repro.serve.batching import evaluate_group
 from repro.serve.cache import PredictionCache
 from repro.serve.schemas import (RequestError, error_body,
@@ -363,6 +364,84 @@ def test_bad_content_length_gets_400_and_close(length):
         assert status == 200
 
     run_with_server(scenario)
+
+
+@pytest.mark.parametrize("request_head, status, error", [
+    (b"GARBAGE\r\nHost: t\r\n\r\n", "400 Bad Request",
+     "bad request line"),
+    (b"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n"
+     b"\r\n", "413 Payload Too Large", "body too large"),
+])
+def test_rejected_request_says_close_then_closes(request_head, status,
+                                                 error):
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        try:
+            writer.write(request_head)
+            await writer.drain()
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                          timeout=10)
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0] == f"HTTP/1.1 {status}"
+            assert "Connection: close" in lines
+            length = int(next(line.split(":")[1] for line in lines
+                              if line.startswith("Content-Length:")))
+            assert await reader.readexactly(length) == error_body(error)
+            # The server closed the connection, as its header said.
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+        finally:
+            writer.close()
+
+    run_with_server(scenario)
+
+
+def test_junk_paths_keep_request_metric_series_bounded():
+    n_junk = 2000
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        try:
+            writer.write(b"".join(
+                f"GET /junk/{i}?q={i} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+                for i in range(n_junk)))
+            await writer.drain()
+            for _ in range(n_junk):
+                head = await asyncio.wait_for(
+                    reader.readuntil(b"\r\n\r\n"), timeout=30)
+                assert head.startswith(b"HTTP/1.1 404 ")
+                length = int(head.split(b"Content-Length: ")[1]
+                             .split(b"\r\n")[0])
+                await reader.readexactly(length)
+        finally:
+            writer.close()
+        for i in range(5):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port)
+            try:
+                writer.write(f"POST /big/{i} HTTP/1.1\r\nHost: t\r\n"
+                             f"Content-Length: 99999999\r\n\r\n".encode())
+                await writer.drain()
+                assert (await asyncio.wait_for(reader.read(), timeout=10)
+                        ).startswith(b"HTTP/1.1 413 ")
+            finally:
+                writer.close()
+        status, _h, payload = await http(server.bound_port, "GET",
+                                         "/metrics")
+        assert status == 200
+        return payload.decode()
+
+    with obs_metrics.use_registry(obs_metrics.MetricsRegistry()):
+        text = run_with_server(scenario)
+    series = [line for line in text.splitlines()
+              if line.startswith("netpower_serve_requests_total{")]
+    labels = {line.split('endpoint="')[1].split('"')[0] for line in series}
+    assert labels <= set(ENDPOINTS) | {OTHER_ENDPOINT, "<bad>"}
+    assert (f'netpower_serve_requests_total{{endpoint="{OTHER_ENDPOINT}",'
+            f'status="404"}} {n_junk}') in series
+    assert len(series) <= (len(ENDPOINTS) + 2) * len(
+        NetpowerServer._REASONS)
 
 
 def test_readyz_is_503_until_load_finishes():
