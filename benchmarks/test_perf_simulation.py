@@ -1,11 +1,12 @@
-"""Performance benchmark: the vectorized engine vs the object loop.
+"""Performance benchmark: the columnar engine vs the object oracle.
 
 Not a paper artefact -- this guards the speedup the columnar engine
-(:mod:`repro.network.engine`) was built for.  The full-size numbers (the
-2x fleet over 10k steps, >=10x) live in ``BENCH_simulation.json`` via
-``python -m repro.bench``; this test keeps runtime modest by using the
-default 107-router fleet over a few hundred steps and asserting a
-conservative floor, so it stays meaningful on slow CI machines.
+(:mod:`repro.network.engine`) was built for over the per-object
+reference loop (``tests/object_oracle.py``).  The engine's own ladder
+lives in ``BENCH_simulation.json`` via ``python -m repro.bench``; this
+test keeps runtime modest by using the default 107-router fleet over a
+few hundred steps and asserting a conservative floor, so it stays
+meaningful on slow CI machines.
 """
 
 import time
@@ -19,6 +20,7 @@ from repro.network import (
     build_switch_like_network,
 )
 from repro.obs import metrics
+from tests.object_oracle import SIMULATIONS
 
 N_STEPS = 300
 STEP_S = 300.0
@@ -27,10 +29,10 @@ STEP_S = 300.0
 def _timed_run(engine: str):
     network = build_switch_like_network(rng=np.random.default_rng(7))
     traffic = FleetTrafficModel(network, rng=np.random.default_rng(8))
-    sim = NetworkSimulation(network, traffic, rng=np.random.default_rng(9))
+    sim = SIMULATIONS[engine](network, traffic,
+                              rng=np.random.default_rng(9))
     start = time.perf_counter()
-    result = sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S,
-                     engine=engine)
+    result = sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S)
     return time.perf_counter() - start, result
 
 
@@ -39,7 +41,7 @@ class TestEngineSpeedup:
         object_s, object_result = _timed_run("object")
         vector_s, vector_result = _timed_run("vector")
         speedup = object_s / vector_s
-        print(f"\nobject {object_s:.2f}s, vector {vector_s:.2f}s "
+        print(f"\noracle {object_s:.2f}s, engine {vector_s:.2f}s "
               f"-> {speedup:.1f}x over {N_STEPS} steps "
               f"({len(object_result.snmp)} routers)")
         np.testing.assert_allclose(object_result.total_power.values,
@@ -48,7 +50,7 @@ class TestEngineSpeedup:
         # Measured ~8-15x at this size (init costs amortize further over
         # longer runs); 3x is the never-regress floor.
         assert speedup >= 3.0, (
-            f"vectorized engine only {speedup:.1f}x faster "
+            f"engine only {speedup:.1f}x faster than the oracle "
             f"({object_s:.2f}s vs {vector_s:.2f}s)")
 
 
@@ -115,8 +117,7 @@ class TestMonitorOverhead:
         if monitored:
             sim.add_observer(FleetMonitor())
         start = time.perf_counter()
-        sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S,
-                engine="vector")
+        sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S)
         return time.perf_counter() - start
 
     def test_monitored_run_within_budget(self):
@@ -164,7 +165,7 @@ class TestAttributionOverhead:
         sim = bench._build_simulation(case, seed=7)
         start = time.perf_counter()
         sim.run(duration_s=self.LADDER_STEPS * STEP_S, step_s=STEP_S,
-                engine="vector", attribution=attribution)
+                attribution=attribution)
         return time.perf_counter() - start
 
     def test_ledger_overhead_within_budget(self):
@@ -211,8 +212,7 @@ class TestProfilerOverhead:
         profiler = profile.Profiler() if profiled else None
         start = time.perf_counter()
         with profile.use_profiler(profiler):
-            sim.run(duration_s=self.LADDER_STEPS * STEP_S, step_s=STEP_S,
-                    engine="vector")
+            sim.run(duration_s=self.LADDER_STEPS * STEP_S, step_s=STEP_S)
         return time.perf_counter() - start
 
     def test_profiler_overhead_within_budget(self):
@@ -256,8 +256,7 @@ class TestLadderScaling:
         case = bench.CASES[case_name]
         sim = bench._build_simulation(case, seed=7)
         start = time.perf_counter()
-        sim.run(duration_s=self.LADDER_STEPS * STEP_S, step_s=STEP_S,
-                engine="vector")
+        sim.run(duration_s=self.LADDER_STEPS * STEP_S, step_s=STEP_S)
         wall_s = time.perf_counter() - start
         return 1000.0 * wall_s / self.LADDER_STEPS
 

@@ -52,7 +52,7 @@ def main():
               f"{saving:>12s}")
 
     # The determinism contract, demonstrated: the report is a pure
-    # function of (matrix, root_seed, engine), so re-serialising the
+    # function of (matrix, root_seed), so re-serialising the
     # returned document reproduces the file written during the run.
     assert json.dumps(document, indent=2) + "\n" == report_bytes.decode()
     print("\nReport is deterministic: in-memory document == written file")

@@ -8,7 +8,7 @@ Usage::
                                     [--min-kernel-ms 5.0]
 
 Compares per-case ``ms_per_step`` / ``ms_per_step_per_1k_routers`` and
-the per-kernel cumulative milliseconds from the v6 ``profile`` blocks
+the per-kernel cumulative milliseconds from the ``profile`` blocks
 (see :func:`repro.bench.compare_reports`).  Exit codes: 0 when no
 metric regressed beyond the tolerance, 1 on regression, 2 on unreadable
 reports or a schema mismatch (a layout change invalidates the

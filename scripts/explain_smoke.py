@@ -6,15 +6,16 @@ Usage::
     python scripts/explain_smoke.py [--preset synth-200] [--steps 50]
                                     [--seed 7]
 
-Runs the same seeded simulation with the energy ledger attached on both
-engines and checks the ledger's headline contracts: every step conserves
+Runs the same seeded simulation with the energy ledger attached on the
+engine and on the per-object reference oracle (``tests/object_oracle.py``)
+and checks the ledger's headline contracts: every step conserves
 (conserved components sum to wall power within the 1e-9 W budget per
-router per step), the two engines attribute the same joules to the same
-components, and the assembled ``repro.explain/v1`` document is
+router per step), engine and oracle attribute the same joules to the
+same components, and the assembled ``repro.explain/v1`` document is
 byte-identical across repeated builds.  Exit code 0 on success, 1 with
 a diagnosis on stderr otherwise.  Designed to finish well under a
-minute on a CI runner: the object engine dominates at ~30 ms/step for
-50 steps on the 200-router preset.
+minute on a CI runner: the oracle dominates at ~30 ms/step for 50 steps
+on the 200-router preset.
 """
 
 import argparse
@@ -22,13 +23,14 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np  # noqa: E402
 
 from repro.network import (  # noqa: E402
     FleetTrafficModel,
-    NetworkSimulation,
     generate_synth_network,
     synth_config,
 )
@@ -38,20 +40,21 @@ from repro.network.attribution import (  # noqa: E402
     explain_to_json,
 )
 from repro.obs.ledger import RESIDUAL_TOLERANCE_W  # noqa: E402
+from tests.object_oracle import SIMULATIONS  # noqa: E402
 
 STEP_S = 300.0
 
-#: Relative tolerance for object-vs-vector ledger energy agreement
-#: (matches the engines' total-power equivalence contract).
+#: Relative tolerance for oracle-vs-engine ledger energy agreement
+#: (matches their total-power equivalence contract).
 AGREEMENT_RTOL = 1e-9
 
 
-def _build(preset: str, seed: int):
+def _build(preset: str, seed: int, engine: str = "vector"):
     network = generate_synth_network(
         synth_config(preset), rng=np.random.default_rng(seed))
     traffic = FleetTrafficModel(
         network, rng=np.random.default_rng(seed + 1))
-    sim = NetworkSimulation(
+    sim = SIMULATIONS[engine](
         network, traffic, rng=np.random.default_rng(seed + 2))
     return network, sim
 
@@ -69,10 +72,10 @@ def main(argv: "list[str] | None" = None) -> int:
     results = {}
     networks = {}
     for engine in ("object", "vector"):
-        network, sim = _build(args.preset, args.seed)
+        network, sim = _build(args.preset, args.seed, engine)
         t1 = time.perf_counter()
         results[engine] = sim.run(duration_s=duration_s, step_s=STEP_S,
-                                  engine=engine, attribution=True)
+                                  attribution=True)
         networks[engine] = network
         ledger = results[engine].ledger
         print(f"{engine}: {args.steps} steps in "
@@ -88,11 +91,11 @@ def main(argv: "list[str] | None" = None) -> int:
     diff = float(np.max(np.abs(obj.energy_j - vec.energy_j)))
     scale = float(np.max(np.abs(obj.energy_j)))
     if diff > AGREEMENT_RTOL * max(scale, 1.0):
-        print(f"FAIL: engines attribute different energy "
+        print(f"FAIL: engine and oracle attribute different energy "
               f"(max abs diff {diff:.2e} J on scale {scale:.2e} J)",
               file=sys.stderr)
         return 1
-    print(f"engine ledgers agree (max abs diff {diff:.2e} J)")
+    print(f"engine and oracle ledgers agree (max abs diff {diff:.2e} J)")
 
     scenario = {"preset": args.preset, "seed": args.seed,
                 "steps": args.steps, "step_s": STEP_S}

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke test for the synthetic-topology + engine-equivalence stack.
+"""CI smoke test for the synthetic-topology + engine-vs-oracle stack.
 
 Usage::
 
@@ -7,13 +7,14 @@ Usage::
 
 Generates a seeded ~1k-router multi-tier fleet twice and checks the
 inventory JSON is byte-identical (the generator's determinism contract,
-docs/TOPOLOGY.md), then runs the same seeded simulation through both
-engines and compares digests: interface counters must hash identically
-(the engines advance them with bit-equal arithmetic) and the
+docs/TOPOLOGY.md), then runs the same seeded simulation through the
+engine and the per-object reference oracle (``tests/object_oracle.py``)
+and compares digests: interface counters must hash identically (both
+advance them with the same exact integer arithmetic) and the
 total-power traces must agree to 1e-9 relative.  Exit code 0 on
 success, 1 with a diagnosis on stderr otherwise.  Designed to finish
-well under a minute on a CI runner: the object engine dominates at
-~0.2 s/step for 50 steps.
+well under a minute on a CI runner: the oracle dominates at ~0.2 s/step
+for 50 steps.
 """
 
 import argparse
@@ -22,27 +23,29 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np  # noqa: E402
 
 from repro.network import (  # noqa: E402
     FleetInventory,
     FleetTrafficModel,
-    NetworkSimulation,
     generate_synth_network,
     synth_config,
 )
+from tests.object_oracle import SIMULATIONS  # noqa: E402
 
 STEP_S = 300.0
 
 
-def _build(preset: str, seed: int):
+def _build(preset: str, seed: int, engine: str = "vector"):
     network = generate_synth_network(
         synth_config(preset), rng=np.random.default_rng(seed))
     traffic = FleetTrafficModel(
         network, rng=np.random.default_rng(seed + 1))
-    sim = NetworkSimulation(
+    sim = SIMULATIONS[engine](
         network, traffic, rng=np.random.default_rng(seed + 2))
     return network, sim
 
@@ -80,10 +83,9 @@ def main(argv=None) -> int:
     results = {}
     networks = {}
     for engine in ("object", "vector"):
-        network, sim = _build(args.preset, args.seed)
+        network, sim = _build(args.preset, args.seed, engine)
         t1 = time.perf_counter()
-        results[engine] = sim.run(duration_s=duration_s, step_s=STEP_S,
-                                  engine=engine)
+        results[engine] = sim.run(duration_s=duration_s, step_s=STEP_S)
         networks[engine] = network
         print(f"{engine}: {args.steps} steps in "
               f"{time.perf_counter() - t1:.1f}s")
@@ -91,8 +93,8 @@ def main(argv=None) -> int:
     digests = {engine: _counter_digest(network)
                for engine, network in networks.items()}
     if digests["object"] != digests["vector"]:
-        print(f"FAIL: counter digests differ: object {digests['object']} "
-              f"vs vector {digests['vector']}", file=sys.stderr)
+        print(f"FAIL: counter digests differ: oracle {digests['object']} "
+              f"vs engine {digests['vector']}", file=sys.stderr)
         return 1
     print(f"counter digest match: {digests['vector'][:16]}…")
 

@@ -14,9 +14,9 @@ set was built:
   tier diverges from the full tier at exactly ``pps == threshold``.
 * **Truth-side** (:func:`carrying_traffic` /
   :func:`carrying_traffic_mask`): a simulated port draws dynamic power
-  when it carries any traffic at all.  The object engine and the
-  columnar vector engine must agree bit-for-bit, so both call the
-  predicates defined here instead of re-deriving ``!= 0`` masks.
+  when it carries any traffic at all.  The router objects and the
+  columnar engine must agree bit-for-bit, so both call the predicates
+  defined here instead of re-deriving ``!= 0`` masks.
 
 Keeping both comparisons in one leaf module (importable before the
 rest of the package, like :mod:`repro.units`) means the boundary can
@@ -62,7 +62,7 @@ def carrying_traffic(rx_bps: float, tx_bps: float) -> bool:
 
     A port with a non-zero rate in either direction draws dynamic
     power.  The scalar twin of :func:`carrying_traffic_mask`; the
-    object engine uses this one, the vector engine the mask, and both
+    router objects use this one, the columnar engine the mask, and both
     compile to the same IEEE comparison.
     """
     return rx_bps != 0.0 or tx_bps != 0.0
@@ -70,5 +70,5 @@ def carrying_traffic(rx_bps: float, tx_bps: float) -> bool:
 
 def carrying_traffic_mask(rx_bps: np.ndarray,
                           tx_bps: np.ndarray) -> np.ndarray:
-    """Columnar twin of :func:`carrying_traffic` for the vector engine."""
+    """Columnar twin of :func:`carrying_traffic` for the engine."""
     return (rx_bps != 0.0) | (tx_bps != 0.0)

@@ -1,26 +1,20 @@
-"""Benchmark harness for the fleet-simulation engines.
+"""Benchmark harness for the fleet-simulation engine.
 
-Times the original per-object simulation loop against the vectorized
-columnar engine (:mod:`repro.network.engine`) on fleets of increasing
-size, checks that the two engines agree on the total-power trace, and
-writes a machine-readable report (``BENCH_simulation.json`` by default).
+Times the columnar engine (:mod:`repro.network.engine`) on fleets of
+increasing size, optionally a second run with the energy ledger
+attached, and writes a machine-readable report
+(``BENCH_simulation.json`` by default).
 
 Run it as a module::
 
     python -m repro.bench --quick          # small fleet only, seconds
-    python -m repro.bench                  # small + medium, ~2 minutes
+    python -m repro.bench                  # small + medium
     python -m repro.bench --cases large    # 214 routers x 10k steps
     python -m repro.bench --cases xl xxl   # synthetic 1k / 10k fleets
 
-or through the CLI: ``repro bench --quick``.
-
-Each case builds *independent* fleets from the same seeds (one per
-engine) so neither run perturbs the other's RNG streams or object state;
-equal seeds guarantee the fleets are identical, and the report records
-the maximum relative difference between the two total-power traces.
-Cases above ``xl`` run the vector engine only -- the object loop is
-O(ports) of Python per step and would take the better part of an hour
-at 10k routers -- and each entry records why in ``object_skipped``.
+or through the CLI: ``repro bench --quick``.  Agreement with the
+per-object reference loop is a test (``tests/object_oracle.py``), not a
+benchmark row.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ import resource
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +58,12 @@ STEP_S = 300.0
 #: ``profile`` block to every engine entry -- per-kernel call counts and
 #: cumulative/self milliseconds from the kernel profiler attached around
 #: each timed run -- which the regression sentinel (``--compare``,
-#: :func:`compare_reports`) diffs against a baseline report.
-SCHEMA = "repro.bench.simulation/v6"
+#: :func:`compare_reports`) diffs against a baseline report.  v7 drops
+#: the object-engine rows: every case times the one engine under
+#: ``vector``, and ``engines``, ``object``, ``speedup``,
+#: ``total_power_max_rel_err``, ``object_skipped`` and the crosscheck
+#: phase are gone.
+SCHEMA = "repro.bench.simulation/v7"
 
 #: Schema identifier on ``BENCH_history.jsonl`` trajectory lines.
 HISTORY_SCHEMA = "repro.bench.history/v1"
@@ -92,10 +90,6 @@ class BenchCase:
     synth: Optional[str] = None
     #: Demands drawn by the traffic model (None = model default).
     n_demands: Optional[int] = None
-    #: Engines timed for this case, in run order.
-    engines: Tuple[str, ...] = ("object", "vector")
-    #: Recorded in the report when the object engine is not run.
-    object_skipped: Optional[str] = None
     #: SNMP poll period override (None = every 300 s step).
     snmp_period_s: Optional[float] = None
     #: Also time a vector run with the energy ledger attached and
@@ -108,15 +102,11 @@ def _scaled_counts(factor: int) -> tuple:
                  for name, count in FleetConfig.model_counts)
 
 
-_OBJECT_SKIP_REASON = (
-    "object engine is O(ports) Python per step; estimated well over "
-    "30 min at this size -- xl is the last cross-checked rung")
-
 #: The benchmark suite, smallest first.  ``small`` finishes in seconds
 #: and is what ``--quick`` (and the smoke test) runs; ``large`` is the
-#: 2x-fleet, 10k-step case the >=10x speedup target is measured on; the
-#: synthetic rungs (``xl``/``xxl``/``xxxl``) exercise the generator from
-#: :mod:`repro.network.synth` at 1k/10k/100k routers.  ``xxxl`` is
+#: 2x-fleet, 10k-step case; the synthetic rungs (``xl``/``xxl``/``xxxl``)
+#: exercise the generator from :mod:`repro.network.synth` at
+#: 1k/10k/100k routers.  ``xxxl`` is
 #: opt-in (never in :data:`DEFAULT_CASES`): pass ``--cases xxxl``.
 CASES: Dict[str, BenchCase] = {
     "small": BenchCase(
@@ -159,8 +149,6 @@ CASES: Dict[str, BenchCase] = {
         name="xxl",
         synth="synth-10k",
         n_steps=2000,
-        engines=("vector",),
-        object_skipped=_OBJECT_SKIP_REASON,
         snmp_period_s=3600.0,
         attribution=True,
     ),
@@ -169,8 +157,6 @@ CASES: Dict[str, BenchCase] = {
         synth="synth-100k",
         n_steps=50,
         n_demands=400,
-        engines=("vector",),
-        object_skipped=_OBJECT_SKIP_REASON,
         snmp_period_s=7200.0,
     ),
 }
@@ -203,11 +189,11 @@ def _build_simulation(case: BenchCase, seed: int) -> NetworkSimulation:
 
 def run_case(case: BenchCase, seed: int,
              steps_override: Optional[int] = None) -> Dict:
-    """Time a case's engines and return its report entry.
+    """Time a case and return its report entry.
 
     Timing comes from :mod:`repro.obs.tracing` spans -- one ``bench.case``
-    root with ``bench.build`` / ``bench.run`` children per engine and a
-    ``bench.crosscheck`` tail -- so a ``--trace-out`` run shows the same
+    root with ``bench.build`` / ``bench.run`` children (a second pair
+    for the ledger run) -- so a ``--trace-out`` run shows the same
     numbers the report records.  A private tracer is installed when none
     is active, keeping the span durations available either way.
     """
@@ -217,9 +203,9 @@ def run_case(case: BenchCase, seed: int,
         return _run_case_traced(case, seed, steps_override)
 
 
-def _engine_entry(wall_s: float, n_steps: int, routers: int,
+def _timing_entry(wall_s: float, n_steps: int, routers: int,
                   prof: Optional[profile.Profiler] = None) -> Dict:
-    """Timing dict for one engine run.
+    """Timing dict for one timed run.
 
     ``ms_per_step`` is wall time over the step count, so one-time costs
     (fleet build happens outside this span, but columnar init and the
@@ -256,65 +242,47 @@ def _run_case_traced(case: BenchCase, seed: int,
     snmp_period_s = float(case.snmp_period_s if case.snmp_period_s is not None
                           else units.SNMP_POLL_PERIOD_S)
 
-    timings: Dict[str, Optional[Dict]] = {"object": None, "vector": None}
     phases: Dict = {}
-    traces: Dict[str, np.ndarray] = {}
-    fleet_shape: Dict[str, int] = {}
-    memory: Optional[Dict] = None
     session_prof = profile.get_profiler()
     with tracing.span("bench.case", case=case.name, n_steps=n_steps,
                       seed=seed):
-        for engine in case.engines:
-            with tracing.span("bench.build", engine=engine) as build_span:
-                sim = _build_simulation(case, seed)
-            if not fleet_shape:
-                fleet_shape = {
-                    "routers": len(sim.network.routers),
-                    "ports": sum(len(r.ports)
-                                 for r in sim.network.routers.values()),
-                    "links": len(sim.network.links),
-                }
-            # Each timed run gets a private profiler so its per-kernel
-            # totals land in the report entry; stats merge into the
-            # session profiler (--profile-out) afterwards.
-            prof = profile.Profiler()
-            with tracing.span("bench.run", engine=engine) as run_span:
-                with profile.use_profiler(prof):
-                    result = sim.run(duration_s=duration_s, step_s=STEP_S,
-                                     snmp_period_s=snmp_period_s,
-                                     engine=engine)
-            if session_prof is not None:
-                session_prof.merge(prof)
-            timings[engine] = _engine_entry(run_span.duration_s, n_steps,
-                                            fleet_shape["routers"], prof)
-            phases[engine] = {
-                "build_s": round(build_span.duration_s, 4),
-                "run_s": round(run_span.duration_s, 4),
-            }
-            traces[engine] = result.total_power.values
-            if engine == "vector" and sim.last_vector_engine is not None:
-                footprint = sim.last_vector_engine.state.memory_footprint()
-                # ru_maxrss is KiB on Linux; a process-lifetime high-water
-                # mark, so it includes the object fleet and earlier cases.
-                peak_rss = resource.getrusage(
-                    resource.RUSAGE_SELF).ru_maxrss * 1024
-                memory = {
-                    "state_bytes": int(footprint["bytes_total"]),
-                    "state_bytes_per_router": round(
-                        footprint["bytes_per_router"], 1),
-                    "peak_rss_bytes": int(peak_rss),
-                }
-
-        rel_err: Optional[float] = None
-        if "object" in traces and "vector" in traces:
-            with tracing.span("bench.crosscheck") as check_span:
-                obj, vec = traces["object"], traces["vector"]
-                rel_err = float(np.max(
-                    np.abs(vec - obj) / np.maximum(np.abs(obj), 1e-12)))
-            phases["crosscheck_s"] = round(check_span.duration_s, 6)
+        with tracing.span("bench.build", engine="vector") as build_span:
+            sim = _build_simulation(case, seed)
+        fleet_shape = {
+            "routers": len(sim.network.routers),
+            "ports": sum(len(r.ports) for r in sim.network.routers.values()),
+            "links": len(sim.network.links),
+        }
+        # Each timed run gets a private profiler so its per-kernel
+        # totals land in the report entry; stats merge into the session
+        # profiler (--profile-out) afterwards.
+        prof = profile.Profiler()
+        with tracing.span("bench.run", engine="vector") as run_span:
+            with profile.use_profiler(prof):
+                result = sim.run(duration_s=duration_s, step_s=STEP_S,
+                                 snmp_period_s=snmp_period_s)
+        if session_prof is not None:
+            session_prof.merge(prof)
+        timing = _timing_entry(run_span.duration_s, n_steps,
+                               fleet_shape["routers"], prof)
+        phases["vector"] = {
+            "build_s": round(build_span.duration_s, 4),
+            "run_s": round(run_span.duration_s, 4),
+        }
+        assert sim.last_engine is not None
+        footprint = sim.last_engine.state.memory_footprint()
+        # ru_maxrss is KiB on Linux; a process-lifetime high-water mark,
+        # so it includes the object fleet and earlier cases.
+        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        memory = {
+            "state_bytes": int(footprint["bytes_total"]),
+            "state_bytes_per_router": round(
+                footprint["bytes_per_router"], 1),
+            "peak_rss_bytes": int(peak_rss),
+        }
 
         attribution: Optional[Dict] = None
-        if case.attribution and timings["vector"] is not None:
+        if case.attribution:
             # A second vector run with the energy ledger attached; the
             # delta against the plain run is the attribution overhead.
             with tracing.span("bench.build", engine="vector+ledger"):
@@ -328,12 +296,11 @@ def _run_case_traced(case: BenchCase, seed: int,
                     attr_result = sim.run(duration_s=duration_s,
                                           step_s=STEP_S,
                                           snmp_period_s=snmp_period_s,
-                                          engine="vector",
                                           attribution=True)
             if session_prof is not None:
                 session_prof.merge(attr_prof)
             ms_on = units.s_to_ms(attr_span.duration_s) / n_steps
-            ms_off = timings["vector"]["ms_per_step"]
+            ms_off = timing["ms_per_step"]
             ledger = attr_result.ledger
             assert ledger is not None
             attribution = {
@@ -344,30 +311,22 @@ def _run_case_traced(case: BenchCase, seed: int,
                 "max_residual_w": ledger.max_residual_w,
                 "conserved": ledger.conserved(),
                 "power_bitwise_identical": bool(np.array_equal(
-                    attr_result.total_power.values, traces["vector"])),
+                    attr_result.total_power.values,
+                    result.total_power.values)),
             }
             phases["attribution_s"] = round(attr_span.duration_s, 4)
-    obj_t, vec_t = timings["object"], timings["vector"]
-    entry = {
+    return {
         "name": case.name,
         **fleet_shape,
         "seed": seed,
         "n_steps": n_steps,
         "step_s": STEP_S,
         "snmp_period_s": snmp_period_s,
-        "engines": list(case.engines),
-        "object": obj_t,
-        "vector": vec_t,
+        "vector": timing,
         "memory": memory,
         "phases": phases,
-        "speedup": (round(obj_t["wall_s"] / vec_t["wall_s"], 2)
-                    if obj_t and vec_t else None),
-        "total_power_max_rel_err": rel_err,
         "attribution": attribution,
     }
-    if case.object_skipped is not None:
-        entry["object_skipped"] = case.object_skipped
-    return entry
 
 
 def previous_cases(output: Path) -> Dict[str, Dict]:
@@ -394,7 +353,7 @@ def previous_cases(output: Path) -> Dict[str, Dict]:
 
 
 def _compare_metric(regressions: List[Dict], improvements: List[Dict],
-                    case: str, engine: str, metric: str,
+                    case: str, metric: str,
                     base_value: Optional[float],
                     cur_value: Optional[float],
                     tolerance: float) -> int:
@@ -403,7 +362,7 @@ def _compare_metric(regressions: List[Dict], improvements: List[Dict],
         return 0
     ratio = cur_value / base_value
     entry = {
-        "case": case, "engine": engine, "metric": metric,
+        "case": case, "metric": metric,
         "baseline": base_value, "current": cur_value,
         "ratio": round(ratio, 4),
     }
@@ -420,7 +379,7 @@ def compare_reports(current: Dict, baseline: Dict,
     """Diff a bench report against a baseline report.
 
     Compares ``ms_per_step`` and ``ms_per_step_per_1k_routers`` per
-    case and engine, plus per-kernel cumulative milliseconds from the
+    case, plus per-kernel cumulative milliseconds from the
     v6 ``profile`` blocks (kernels whose baseline total is under
     ``min_kernel_ms`` are skipped as timer noise).  A metric more than
     ``tolerance`` (fractional) above its baseline is a regression; more
@@ -444,25 +403,23 @@ def compare_reports(current: Dict, baseline: Dict,
         base = base_cases.get(entry["name"])
         if base is None:
             continue
-        for engine in ("object", "vector"):
-            cur_t, base_t = entry.get(engine), base.get(engine)
-            if not cur_t or not base_t:
+        cur_t, base_t = entry.get("vector"), base.get("vector")
+        if not cur_t or not base_t:
+            continue
+        for metric in ("ms_per_step", "ms_per_step_per_1k_routers"):
+            checked += _compare_metric(
+                regressions, improvements, entry["name"], metric,
+                base_t.get(metric), cur_t.get(metric), tolerance)
+        cur_prof = cur_t.get("profile") or {}
+        base_prof = base_t.get("profile") or {}
+        for kernel in sorted(set(cur_prof) & set(base_prof)):
+            base_ms = base_prof[kernel].get("cum_ms")
+            if base_ms is None or base_ms < min_kernel_ms:
                 continue
-            for metric in ("ms_per_step", "ms_per_step_per_1k_routers"):
-                checked += _compare_metric(
-                    regressions, improvements, entry["name"], engine,
-                    metric, base_t.get(metric), cur_t.get(metric),
-                    tolerance)
-            cur_prof = cur_t.get("profile") or {}
-            base_prof = base_t.get("profile") or {}
-            for kernel in sorted(set(cur_prof) & set(base_prof)):
-                base_ms = base_prof[kernel].get("cum_ms")
-                if base_ms is None or base_ms < min_kernel_ms:
-                    continue
-                checked += _compare_metric(
-                    regressions, improvements, entry["name"], engine,
-                    f"kernel:{kernel}", base_ms,
-                    cur_prof[kernel].get("cum_ms"), tolerance)
+            checked += _compare_metric(
+                regressions, improvements, entry["name"],
+                f"kernel:{kernel}", base_ms,
+                cur_prof[kernel].get("cum_ms"), tolerance)
     return {
         "tolerance": tolerance,
         "min_kernel_ms": min_kernel_ms,
@@ -477,7 +434,7 @@ def render_comparison(comparison: Dict, stream: object) -> None:
     for kind in ("regressions", "improvements"):
         for item in comparison[kind]:
             arrow = "REGRESSION" if kind == "regressions" else "improved"
-            print(f"{arrow}: [{item['case']}] {item['engine']} "
+            print(f"{arrow}: [{item['case']}] "
                   f"{item['metric']}: {item['baseline']} -> "
                   f"{item['current']} ({item['ratio']:.2f}x)",
                   file=stream)
@@ -491,28 +448,24 @@ def render_comparison(comparison: Dict, stream: object) -> None:
 def _history_entry(report: Dict) -> Dict:
     """One compact trajectory line for ``BENCH_history.jsonl``.
 
-    Per case and engine: the two normalized step timings plus per-kernel
+    Per case: the two normalized step timings plus per-kernel
     cumulative milliseconds.  No wall-clock date -- the file is
     append-only, so line order *is* the trajectory, and the surrounding
     commit supplies the calendar.
     """
     cases: Dict[str, Dict] = {}
     for entry in report.get("cases", []):
-        engines: Dict[str, Dict] = {}
-        for engine in ("object", "vector"):
-            timing = entry.get(engine)
-            if not timing:
-                continue
-            engines[engine] = {
-                "ms_per_step": timing.get("ms_per_step"),
-                "ms_per_step_per_1k_routers": timing.get(
-                    "ms_per_step_per_1k_routers"),
-                "kernel_cum_ms": {
-                    name: stats.get("cum_ms")
-                    for name, stats in (timing.get("profile")
-                                        or {}).items()},
-            }
-        cases[entry["name"]] = engines
+        timing = entry.get("vector")
+        if not timing:
+            continue
+        cases[entry["name"]] = {"vector": {
+            "ms_per_step": timing.get("ms_per_step"),
+            "ms_per_step_per_1k_routers": timing.get(
+                "ms_per_step_per_1k_routers"),
+            "kernel_cum_ms": {
+                name: stats.get("cum_ms")
+                for name, stats in (timing.get("profile") or {}).items()},
+        }}
     return {"schema": HISTORY_SCHEMA, "seed": report.get("seed"),
             "cases": cases}
 
@@ -526,18 +479,10 @@ def append_history(history_path: Path, report: Dict) -> Path:
 
 
 def _summary_line(entry: Dict) -> str:
-    """One human line per finished case, engines present or not."""
-    parts = []
-    for engine in ("object", "vector"):
-        timing = entry.get(engine)
-        if timing:
-            parts.append(f"{engine} {timing['wall_s']:.2f}s "
-                         f"({timing['ms_per_step']:.2f} ms/step)")
-    line = ", ".join(parts)
-    if entry.get("speedup") is not None:
-        line += f" -> {entry['speedup']:.1f}x"
-    if entry.get("total_power_max_rel_err") is not None:
-        line += f" (max rel err {entry['total_power_max_rel_err']:.2e})"
+    """One human line per finished case."""
+    timing = entry["vector"]
+    line = (f"{timing['wall_s']:.2f}s "
+            f"({timing['ms_per_step']:.2f} ms/step)")
     memory = entry.get("memory")
     if memory:
         line += (f", columnar state "
@@ -570,8 +515,7 @@ def run_benchmarks(case_names: Sequence[str], seed: int,
     for name in case_names:
         case = CASES[name]
         print(f"[{name}] {_case_routers(case)} routers, "
-              f"{steps_override or case.n_steps} steps, "
-              f"engines {'+'.join(case.engines)} ...",
+              f"{steps_override or case.n_steps} steps ...",
               file=stream, flush=True)
         entry = run_case(case, seed, steps_override=steps_override)
         entries.append(entry)
@@ -601,7 +545,8 @@ def run_benchmarks(case_names: Sequence[str], seed: int,
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark the object vs vectorized simulation engines.")
+        description="Benchmark the simulation engine on fleets of growing "
+                    "size.")
     parser.add_argument("--quick", action="store_true",
                         help="run only the small case (a few seconds)")
     parser.add_argument("--cases", nargs="+", choices=sorted(CASES),

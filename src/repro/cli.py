@@ -11,8 +11,8 @@ Mirrors how the paper's released artifacts are used from a shell:
   print the trend and Table 1 statistics;
 * ``netpower zoo``         -- derive every catalog device and export a
   Network Power Zoo JSON document;
-* ``netpower bench``       -- time the object vs vectorized simulation
-  engines and write ``BENCH_simulation.json``;
+* ``netpower bench``       -- time the simulation engine on fleets of
+  growing size and write ``BENCH_simulation.json``;
 * ``netpower monitor``     -- run a small fleet with the continuous
   monitor attached and write a dashboard snapshot (JSON + HTML);
 * ``netpower topo``        -- generate a deterministic synthetic
@@ -164,7 +164,7 @@ def _parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", parents=[common],
-        help="benchmark the object vs vectorized simulation engines")
+        help="benchmark the simulation engine on fleets of growing size")
     bench.add_argument("--quick", action="store_true",
                        help="run only the small case (a few seconds)")
     bench.add_argument("--cases", nargs="+", metavar="CASE",
@@ -198,9 +198,6 @@ def _parser() -> argparse.ArgumentParser:
                       help="simulation steps (default: %(default)s)")
     prof.add_argument("--step", type=float, default=300.0,
                       help="step size in seconds (default: %(default)s)")
-    prof.add_argument("--engine", default="vector",
-                      choices=("auto", "object", "vector"),
-                      help="simulation engine (default: %(default)s)")
     prof.add_argument("--attribution", action="store_true",
                       help="attach the energy ledger so its kernel "
                            "shows up in the profile")
@@ -218,9 +215,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="simulated days (default: 1)")
     monitor.add_argument("--step", type=float, default=900,
                          help="simulation step in seconds (default: 900)")
-    monitor.add_argument("--engine", default="auto",
-                         choices=("auto", "object", "vector"),
-                         help="simulation engine (default: %(default)s)")
     monitor.add_argument("--out", "-o", default="dashboard.json",
                          help="dashboard snapshot path; the HTML page is "
                               "written next to it (default: %(default)s)")
@@ -238,9 +232,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="simulation steps (default: %(default)s)")
     explain.add_argument("--step", type=float, default=300.0,
                          help="step size in seconds (default: %(default)s)")
-    explain.add_argument("--engine", default="auto",
-                         choices=("auto", "object", "vector"),
-                         help="simulation engine (default: %(default)s)")
     explain.add_argument("--host", default=None,
                          help="add a port-level drill-down for this router")
     explain.add_argument("--top", type=int, default=10,
@@ -340,9 +331,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="skip jobs already present in the output "
                             "report")
-    sweep.add_argument("--engine", default="auto",
-                       choices=("auto", "object", "vector"),
-                       help="simulation engine (default: %(default)s)")
     sweep.add_argument("--attribution", action="store_true",
                        help="attach the energy attribution ledger to "
                             "every job and include its rollup in the "
@@ -708,11 +696,10 @@ def _cmd_monitor(args) -> int:
         return 2
     _progress("deriving lab models for the monitored products ...")
     sim, monitor, events, targets = _monitor_scenario(args)
-    _progress(f"simulating {args.days:g} day(s) "
-              f"({args.engine} engine) ...")
+    _progress(f"simulating {args.days:g} day(s) ...")
     sim.run(duration_s=units.days(args.days), step_s=args.step,
             events=events, detailed_hosts=sorted(targets.values()),
-            engine=args.engine, attribution=True)
+            attribution=True)
     write_dashboard(monitor, args.out)
     _out(f"monitored routers  : {len(monitor.hosts)}")
     fleet = monitor.store.get("fleet/total_power_w")
@@ -740,8 +727,7 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_explain(args) -> int:
     from repro.network import (FleetTrafficModel, NetworkSimulation,
-                               generate_synth_network, supports_vectorized,
-                               synth_config)
+                               generate_synth_network, synth_config)
     from repro.network.attribution import (build_explain_document,
                                            explain_to_json,
                                            render_explain_text)
@@ -760,17 +746,13 @@ def _cmd_explain(args) -> int:
         network, rng=np.random.default_rng(args.seed + 1), n_demands=60)
     sim = NetworkSimulation(network, traffic,
                             rng=np.random.default_rng(args.seed + 2))
-    engine = args.engine
-    if engine == "auto":
-        engine = ("vector" if supports_vectorized(network) else "object")
     _progress(f"simulating {args.steps} steps of {args.preset} "
-              f"({engine} engine) with the energy ledger attached ...")
+              f"with the energy ledger attached ...")
     try:
         result = sim.run(duration_s=args.steps * args.step,
-                         step_s=args.step, engine=engine,
-                         attribution=True)
+                         step_s=args.step, attribution=True)
         document = build_explain_document(
-            result.ledger, network, engine=engine,
+            result.ledger, network, engine=sim.engine_name,
             scenario={"preset": args.preset, "seed": args.seed,
                       "steps": args.steps, "step_s": args.step},
             host=args.host, top=args.top)
@@ -911,11 +893,11 @@ def _cmd_profile(args) -> int:
     profiler = session if session is not None else obs_profile.Profiler()
     with obs_profile.use_profiler(profiler):
         sim.run(duration_s=args.steps * args.step, step_s=args.step,
-                engine=args.engine, attribution=args.attribution)
+                attribution=args.attribution)
     kernels = sorted(profiler.to_dict()["kernels"].items(),
                      key=lambda item: (-item[1]["self_s"], item[0]))
     _out(f"{args.preset}: {len(network.routers)} routers, "
-         f"{args.steps} steps, engine {args.engine}")
+         f"{args.steps} steps")
     _out(f"{'kernel':<28} {'calls':>8} {'cum_ms':>10} {'self_ms':>10}")
     for name, stats in kernels[:max(args.top, 0)]:
         _out(f"{name:<28} {stats['calls']:>8} "
@@ -974,8 +956,7 @@ def _cmd_sweep(args) -> int:
             jobs=jobs, resume=args.resume, output=output,
             bench_output=(Path(args.bench_output)
                           if args.bench_output else None),
-            engine=args.engine, attribution=args.attribution,
-            progress=_progress)
+            attribution=args.attribution, progress=_progress)
     except (RuntimeError, ValueError) as exc:
         _err(f"error: {exc}")
         return 1

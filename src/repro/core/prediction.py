@@ -16,14 +16,38 @@ inventory-listed modules drawing ``P_trx,in`` when idle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
 from repro import units
 from repro.activity import ACTIVE_PPS_THRESHOLD, prediction_active
-from repro.core.model import InterfaceClassKey, PowerModel
+from repro.core.model import InterfaceClassKey, InterfaceModel, PowerModel
 from repro.hardware.transceiver import TRANSCEIVER_CATALOG
+
+#: A rate argument: one float, or an array evaluated elementwise.
+Rate = TypeVar("Rate", float, np.ndarray)
+
+
+def physical_bit_rate(octets: Rate, packets: Rate) -> Rate:
+    """Physical-layer bit rate from layer-2 octet and packet rates.
+
+    SNMP octet counters exclude preamble and inter-packet gap; the
+    model's ``r_i`` is the physical rate, so the fixed 20 B of layer-1
+    overhead is added per counted packet.  Elementwise: arrays or floats.
+    """
+    return units.BITS_PER_BYTE * (
+        octets + units.ETHERNET_OVERHEAD_BYTES * packets)
+
+
+def active_interface_power(iface_model: InterfaceModel, bps: Rate,
+                           pps: Rate) -> Rate:
+    """Power of an active interface at bit rate ``bps`` and packet rate
+    ``pps`` (the §5.2 model terms).  Elementwise: arrays or floats.
+    """
+    return (iface_model.p_trx_in_w.value + iface_model.p_port_w.value
+            + iface_model.p_trx_up_w.value + iface_model.p_offset_w.value
+            + iface_model.e_bit_j * bps + iface_model.e_pkt_j * pps)
 
 
 def resolve_class_key(trx_name: Optional[str],
@@ -94,16 +118,9 @@ class DeployedInterface:
         return resolve_class_key(self.trx_name, self.speed_gbps)
 
     def physical_bit_rate(self) -> np.ndarray:
-        """Two-direction physical-layer bit rate from the counters.
-
-        SNMP octet counters exclude preamble and inter-packet gap; the
-        model's ``r_i`` is the physical rate, so we add the fixed 20 B of
-        layer-1 overhead per counted packet.
-        """
-        octets = self.octet_rate_rx + self.octet_rate_tx
-        packets = self.packet_rate_rx + self.packet_rate_tx
-        return units.BITS_PER_BYTE * (
-            octets + units.ETHERNET_OVERHEAD_BYTES * packets)
+        """Two-direction physical-layer bit rate from the counters."""
+        return physical_bit_rate(self.octet_rate_rx + self.octet_rate_tx,
+                                 self.packet_rate_rx + self.packet_rate_tx)
 
     def packet_rate(self) -> np.ndarray:
         """Two-direction packet rate (the model's ``p_i``)."""
@@ -172,10 +189,7 @@ def predict_trace(model: PowerModel,
         pps = np.stack([m.packet_rate() for m in members])
         active = prediction_active(pps, active_pps_threshold)
 
-        active_power = (
-            iface_model.p_trx_in_w.value + iface_model.p_port_w.value
-            + iface_model.p_trx_up_w.value + iface_model.p_offset_w.value
-            + iface_model.e_bit_j * bps + iface_model.e_pkt_j * pps)
+        active_power = active_interface_power(iface_model, bps, pps)
         if assume_unplugged_when_idle:
             idle_power = 0.0
         else:

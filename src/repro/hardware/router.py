@@ -57,7 +57,7 @@ from repro.hardware.transceiver import (
 COUNTER_64_WRAP = 2 ** 64
 
 #: A per-router float, or an array of them over routers (the elementwise
-#: equations below serve both engines).
+#: equations below serve the router objects and the columnar engine).
 Floats = Union[float, np.ndarray]
 
 #: Correlation time of the routers' AR(1) ambient power noise.
@@ -135,11 +135,16 @@ class Counters:
 
     def add(self, rx_octets: float, tx_octets: float,
             rx_packets: float, tx_packets: float) -> None:
-        """Accumulate traffic, wrapping at 64 bits."""
-        self.rx_octets = int(self.rx_octets + rx_octets) % COUNTER_64_WRAP
-        self.tx_octets = int(self.tx_octets + tx_octets) % COUNTER_64_WRAP
-        self.rx_packets = int(self.rx_packets + rx_packets) % COUNTER_64_WRAP
-        self.tx_packets = int(self.tx_packets + tx_packets) % COUNTER_64_WRAP
+        """Accumulate traffic, wrapping at 64 bits.
+
+        Each counter gains the whole part of its (non-negative)
+        increment in exact integer arithmetic -- the equation the
+        columnar engine's ``uint64`` columns compute natively.
+        """
+        self.rx_octets = (self.rx_octets + int(rx_octets)) % COUNTER_64_WRAP
+        self.tx_octets = (self.tx_octets + int(tx_octets)) % COUNTER_64_WRAP
+        self.rx_packets = (self.rx_packets + int(rx_packets)) % COUNTER_64_WRAP
+        self.tx_packets = (self.tx_packets + int(tx_packets)) % COUNTER_64_WRAP
 
     def reset(self) -> None:
         """Zero all counters (happens on reboot)."""

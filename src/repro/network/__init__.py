@@ -59,16 +59,15 @@ from repro.network.inventory import (
     diff_inventories,
 )
 from repro.network.simulation import (
-    FLEET_PACKET_BYTES,
     NetworkSimulation,
     SimulationResult,
     StepObserver,
     StepSnapshot,
 )
 from repro.network.engine import (
+    FLEET_PACKET_BYTES,
     FleetState,
     VectorizedEngine,
-    supports_vectorized,
 )
 
 __all__ = [
@@ -115,5 +114,4 @@ __all__ = [
     "StepSnapshot",
     "FleetState",
     "VectorizedEngine",
-    "supports_vectorized",
 ]

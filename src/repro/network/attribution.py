@@ -1,15 +1,11 @@
-"""Object-path energy attribution and the ``netpower explain`` document.
+"""Energy attribution drill-down: the ``netpower explain`` document.
 
-The columnar engine writes its attribution split straight out of its
-component columns (:meth:`repro.network.engine.FleetState.wall_power`);
-this module is the object engine's counterpart plus the shared
-drill-down assembly: :func:`router_breakdown` decomposes one
-:class:`~repro.hardware.router.VirtualRouter`'s wall power into the
-:data:`~repro.obs.ledger.COMPONENTS` vector using exactly the method
-calls ``wall_power_w()`` performs (so attribution on/off cannot change
-a single simulated byte), and :func:`build_explain_document` rolls a
-finished run's ledger up into the versioned fleet -> region -> router
--> port report the CLI renders.
+The engine writes each step's attribution split straight out of its
+component columns (:meth:`repro.network.engine.FleetState.wall_power`)
+into the ledger; this module rolls a finished run's ledger up into the
+versioned fleet -> region -> router -> port report the CLI renders
+(:func:`build_explain_document`), with per-port rows read off the
+router objects (:func:`port_breakdown_rows`).
 """
 
 from __future__ import annotations
@@ -28,62 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 #: Version stamp on every ``netpower explain`` document.
 EXPLAIN_SCHEMA = "repro.explain/v1"
-
-
-def router_breakdown(router: VirtualRouter, out: np.ndarray) -> float:
-    """Fill ``out`` with one router's component watts; return wall power.
-
-    The returned wall power is byte-identical to
-    ``router.wall_power_w()``: the chain of method calls (wall-referred
-    sum, DC inversion, noise clip, PSU curves) is the same, so the
-    object engine can build its per-host power map from the breakdown
-    without perturbing attribution-off results.  Component column order
-    matches :data:`repro.obs.ledger.COMPONENTS`; the per-port sums
-    accumulate in port order, the same chain of additions as the
-    columnar engine's ``np.bincount`` segments.
-    """
-    if not router.powered:
-        out[:] = 0.0
-        return 0.0
-    base = ((router.spec.p_base_w + router.fan_bump_w)
-            + router.thermal_power_w())
-    trx_in = 0.0
-    port_static = 0.0
-    trx_up = 0.0
-    sleep = 0.0
-    offset = 0.0
-    bit = 0.0
-    pkt = 0.0
-    for port in router.ports:
-        s_in, s_port, s_up = port.static_components()
-        trx_in += s_in
-        port_static += s_port
-        trx_up += s_up
-        sleep += port.sleep_savings_w()
-        traffic = port.traffic
-        if ((traffic.rx_bps or traffic.tx_bps) and port.link_up
-                and traffic.total_bps > 0):
-            truth = port.class_truth()
-            if truth is not None:
-                offset += truth.p_offset_w
-                bit += truth.e_bit_j * traffic.total_bps
-                pkt += truth.e_pkt_j * traffic.total_pps
-    wall_ref = router.wall_referred_power_w()
-    dc = router._dc_from_wall_referred(wall_ref)
-    device = router.device_power_w()
-    wall = router.psu_group.wall_power(device)
-    out[0] = base
-    out[1] = trx_in
-    out[2] = port_static
-    out[3] = trx_up
-    out[4] = offset
-    out[5] = bit
-    out[6] = pkt
-    out[7] = dc - wall_ref
-    out[8] = device - dc
-    out[9] = wall - device
-    out[10] = sleep
-    return wall
 
 
 def port_breakdown_rows(router: VirtualRouter) -> List[Dict]:

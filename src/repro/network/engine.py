@@ -1,56 +1,52 @@
-"""Vectorized fleet-simulation fast path: columnar state over NumPy arrays.
+"""The fleet-simulation stepping engine: columnar state over NumPy arrays.
 
-The object engine in :mod:`repro.network.simulation` advances the fleet one
-Python object at a time: every step re-walks every link, every
-:meth:`VirtualRouter.advance` loops over its ports, and
-``total_wall_power_w`` re-sums per-port power through Python method calls.
-That is fine for a handful of routers; it is two orders of magnitude too
-slow for ISP-sized fleets (hundreds of routers x dozens of ports x 10^4+
-steps).
+Every port in the fleet is flattened into structure-of-arrays columns --
+static power, ``e_bit``/``e_pkt``, offered rx/tx rates, link-up masks,
+router ownership indices -- so one simulation step is a few array
+operations (scatter the link rates, accumulate counters, segment-sum
+power per router) instead of O(ports) Python calls through the
+:class:`~repro.hardware.router.VirtualRouter` objects.
 
-This module flattens every port in the fleet into structure-of-arrays
-columns -- static power, ``e_bit``/``e_pkt``, offered rx/tx rates, link-up
-masks, router ownership indices -- so one simulation step becomes a few
-array operations (scatter the link rates, accumulate counters, segment-sum
-power per router) instead of O(ports) Python calls.
-
-Contracts that keep the fast path exactly equivalent to the object path:
+Contracts that keep the columns exactly equivalent to stepping the
+objects one at a time (the per-object loop survives as the reference
+oracle in ``tests/object_oracle.py``):
 
 * **Objects stay the source of truth.**  Events mutate the
-  :class:`~repro.hardware.router.VirtualRouter` objects exactly as in the
-  object engine; the columnar state is a *cache* that is flushed to the
-  objects before any event fires and refreshed afterwards (the same
-  ``_mark_dirty`` philosophy as the router's own static-power cache,
-  hoisted to fleet scope).  Events that declare a *dirty set* of routers
+  :class:`~repro.hardware.router.VirtualRouter` objects; the columnar
+  state is a *cache* that is flushed to the objects before any event
+  fires and refreshed afterwards (the same ``_mark_dirty`` philosophy
+  as the router's own static-power cache, hoisted to fleet scope).
+  Events that declare a *dirty set* of routers
   (:meth:`~repro.network.events.FleetEvent.dirty_hosts`) get the
   incremental treatment: only those routers' columns are flushed,
   re-snapshot, and patched in place -- O(router), not O(fleet) -- while
-  events that reshape the link list still force a full rebuild.  Both
-  paths produce bit-identical columns.  At the end of a run all
-  counters, offered traffic, noise states and sensor plateaus are
-  written back, so post-run object inspection is indistinguishable from
-  a scalar run.
+  events that reshape the link list force a full rebuild.  Both paths
+  produce bit-identical columns.  At the end of a run all counters,
+  offered traffic, noise states and sensor plateaus are written back,
+  so post-run object inspection sees the run's final state.
 * **Identical RNG streams.**  NumPy ``Generator`` array draws consume the
   underlying bit stream exactly like the equivalent sequence of scalar
-  draws, so vectorised demand noise reproduces the object path's values
-  bit for bit.  Per-router draws (AR(1) ambient noise, PSU sensor noise)
+  draws, so vectorised demand noise reproduces the scalar values bit
+  for bit.  Per-router draws (AR(1) ambient noise, PSU sensor noise)
   come from per-router generators: each router's standard normals for a
-  block of steps are drawn in one call, laid out in the order the object
-  path consumes them, and used one column per step (see
+  block of steps are drawn in one call, laid out in the order a scalar
+  step consumes them, and used one column per step (see
   :meth:`FleetState.draw_block` and docs/PERFORMANCE.md, "Per-router
   draw order").
 * **Identical arithmetic where it matters.**  Elementwise array formulas
-  mirror the scalar expressions' association order, counter accumulation
-  replicates ``int(prev + inc)`` truncation via ``np.floor``, and the
-  DC-inversion interpolation reuses each router's own ``_inversion_grid``.
-  Remaining differences (pairwise vs. sequential summation, fused
-  constant factors) stay within ~1e-12 relative error; the equivalence
-  suite asserts 1e-9.
+  mirror the scalar expressions' association order, and the
+  DC-inversion interpolation reuses each router's own
+  ``_inversion_grid``.  Remaining differences (pairwise vs. sequential
+  summation, fused constant factors) stay within ~1e-12 relative error.
+* **Exact counters.**  The four interface counters are ``uint64``
+  columns that gain the whole part of each step's increment and wrap at
+  2^64 natively -- the integer equation of
+  :meth:`~repro.hardware.router.Counters.add` -- so they are exact at
+  any magnitude.
 
-Counters are held as float64 columns: exact up to 2^53, far beyond any
-realistic campaign, but the fast path does not reproduce the 2^64 counter
-wrap (the object engine does).  Runs long enough to wrap a 64-bit octet
-counter should use ``engine="object"``.
+PSU curves must collapse to scaled quadratics (:func:`_collapse_curve`);
+every simulated router's ``rating_curve`` does, and any other curve is a
+``ValueError`` naming the router.
 """
 
 from __future__ import annotations
@@ -71,13 +67,15 @@ from repro.obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.network.events import FleetEvent
-    from repro.network.topology import ISPNetwork
     from repro.obs.ledger import LedgerAccumulator
     from repro.telemetry.snmp import SnmpCollector
 
 #: PSU sensor quirks in the order of the ``sensor_quirk`` column codes.
 _QUIRKS: Tuple[PsuSensorQuirk, ...] = tuple(PsuSensorQuirk)
 _ABSENT = _QUIRKS.index(PsuSensorQuirk.ABSENT)
+
+#: Average payload size assigned to fleet traffic (IMIX-flavoured).
+FLEET_PACKET_BYTES = 700.0
 
 #: Most steps one block of pre-drawn per-router normals covers (at most
 #: two draws per router per step: ambient noise and the SNMP poll).
@@ -101,50 +99,30 @@ M_PATCH_SECONDS = metrics.histogram(
     "Wall time of one incremental column patch (per event boundary)",
     buckets=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3))
 
-#: Module-wide switch for the incremental event-boundary path.  With it
-#: off, every event boundary rebuilds the full columnar configuration --
-#: the pre-incremental behaviour the equivalence suite compares against
-#: (results must be bitwise identical either way).
-INCREMENTAL_REFRESH: bool = True
 
-
-def _collapse_curve(curve) -> Optional[Tuple[Tuple[float, ...],
-                                             float, float, float]]:
-    """Reduce a PSU efficiency curve to ``(scales, a, b, c)`` if possible.
+def _collapse_curve(curve, hostname: str) -> Tuple[Tuple[float, ...],
+                                                   float, float, float]:
+    """Reduce a PSU efficiency curve to ``(scales, a, b, c)``.
 
     Ground-truth PSU instances are ``ScaledLossCurve`` wrappers (possibly
     nested) around the quadratic PFE600 loss model; their loss fraction is
     ``s_n * (... * (s_1 * (a + b*x + c*x^2)))``.  The scales are returned
     innermost-first so callers can apply them in the same multiplication
-    order as the nested objects (bit-identical results).  Returns ``None``
-    for curve types the vectorized engine cannot evaluate in closed form.
+    order as the nested objects (bit-identical results).  Any other
+    curve has no closed form here: a ``ValueError`` names the router
+    (``hostname``) and the curve type.
     """
     scales: List[float] = []
-    while isinstance(curve, ScaledLossCurve):
-        scales.append(curve.scale)
-        curve = curve.base
-    if isinstance(curve, QuadraticLossCurve):
-        return tuple(reversed(scales)), curve.a, curve.b, curve.c
-    return None
-
-
-def supports_vectorized(network: "ISPNetwork") -> bool:
-    """Whether every router in the fleet is expressible in columnar form.
-
-    True for all catalog hardware: the engine needs PSU curves that
-    collapse to scaled quadratics (see :func:`_collapse_curve`) and one of
-    the stock sharing policies.  Exotic custom curves fall back to the
-    object engine via ``engine="auto"``.
-    """
-    for router in network.routers.values():
-        if router.psu_group.policy not in (SharingPolicy.BALANCED,
-                                           SharingPolicy.SINGLE,
-                                           SharingPolicy.HOT_STANDBY):
-            return False
-        for psu in router.psu_group.instances:
-            if _collapse_curve(psu.curve) is None:
-                return False
-    return True
+    inner = curve
+    while isinstance(inner, ScaledLossCurve):
+        scales.append(inner.scale)
+        inner = inner.base
+    if not isinstance(inner, QuadraticLossCurve):
+        raise ValueError(
+            f"{hostname}: PSU curve {type(inner).__name__} (inside "
+            f"{type(curve).__name__}) does not collapse to a scaled "
+            f"quadratic loss curve")
+    return tuple(reversed(scales)), inner.a, inner.b, inner.c
 
 
 class FleetState:
@@ -235,32 +213,32 @@ class FleetState:
 
     def snapshot_counters(self,
                           hostnames: Optional[Sequence[str]] = None) -> None:
-        """Load counter columns from the Port objects (they are authoritative
-        across events: a power cycle zeroes them on the object).
+        """Load the ``uint64`` counter columns from the Port objects (they
+        are authoritative across events: a power cycle zeroes them on
+        the object).
 
-        With ``hostnames``, only those routers' ports are re-read --
-        counters are integral and below 2^53, so the float columns of
-        untouched routers already hold the objects' exact values.
+        With ``hostnames``, only those routers' ports are re-read; the
+        columns of untouched routers already hold the objects' values.
         """
         self._spill_counters()
         if hostnames is None:
             self.c_rx_oct = np.array(
-                [float(p.counters.rx_octets) for p in self.ports])
+                [p.counters.rx_octets for p in self.ports], dtype=np.uint64)
             self.c_tx_oct = np.array(
-                [float(p.counters.tx_octets) for p in self.ports])
+                [p.counters.tx_octets for p in self.ports], dtype=np.uint64)
             self.c_rx_pkt = np.array(
-                [float(p.counters.rx_packets) for p in self.ports])
+                [p.counters.rx_packets for p in self.ports], dtype=np.uint64)
             self.c_tx_pkt = np.array(
-                [float(p.counters.tx_packets) for p in self.ports])
+                [p.counters.tx_packets for p in self.ports], dtype=np.uint64)
             return
         for host in hostnames:
             r = self.router_index[host]
             for f in range(self._router_start[r], self._router_stop[r]):
                 counters = self.ports[f].counters
-                self.c_rx_oct[f] = float(counters.rx_octets)
-                self.c_tx_oct[f] = float(counters.tx_octets)
-                self.c_rx_pkt[f] = float(counters.rx_packets)
-                self.c_tx_pkt[f] = float(counters.tx_packets)
+                self.c_rx_oct[f] = counters.rx_octets
+                self.c_tx_oct[f] = counters.tx_octets
+                self.c_rx_pkt[f] = counters.rx_packets
+                self.c_tx_pkt[f] = counters.tx_packets
 
     def flush_counters(self, hostnames: Optional[Sequence[str]] = None) -> None:
         """Write counter columns back into the Port objects.
@@ -294,8 +272,7 @@ class FleetState:
         Returns ``(rx_octets, tx_octets, rx_packets, tx_packets)`` views
         of the full-width columns (compact copies spilled first), so an
         SNMP poll can read a detailed host's counters without the
-        object-write-back round trip.  The floats are integral below
-        2^53; ``int()`` of an entry is the object counter's exact value.
+        object-write-back round trip.
         """
         self._spill_counters()
         i = self.router_index[hostname]
@@ -533,13 +510,7 @@ class FleetState:
         n = len(group.instances)
         rows = []
         for j, psu in enumerate(group.instances):
-            collapsed = _collapse_curve(psu.curve)
-            if collapsed is None:
-                raise ValueError(
-                    f"{router.hostname}: PSU curve "
-                    f"{type(psu.curve).__name__} is not vectorizable; "
-                    f"run with engine='object'")
-            scales, a, b, c = collapsed
+            scales, a, b, c = _collapse_curve(psu.curve, router.hostname)
             if group.policy == SharingPolicy.BALANCED:
                 div, zero = float(n), False
             elif j == 0:
@@ -597,13 +568,13 @@ class FleetState:
     def _refresh_links(self, new_external_link_ids) -> None:
         """Columnise the link list.
 
-        ``scatter_ports``/``scatter_src`` replay the object engine's
-        per-link traffic application as one fancy assignment: entries are
-        emitted in link-list order (both ends of an internal link, then
-        the local end of an external link), so a port referenced by two
-        links -- possible when a freed port is re-provisioned while a
-        stale link lingers in the list -- resolves to the same last-writer
-        as the object loop.
+        ``scatter_ports``/``scatter_src`` replay a per-link walk that
+        offers each link's rate to its ports as one fancy assignment:
+        entries are emitted in link-list order (both ends of an internal
+        link, then the local end of an external link), so a port
+        referenced by two links -- possible when a freed port is
+        re-provisioned while a stale link lingers in the list -- keeps
+        the last link's rate.
         """
         int_rows: List[Tuple[int, int, float, int]] = []   # a, b, cap95, id
         ext_rows: List[Tuple[int, float, bool]] = []       # a, cap, is_new
@@ -665,7 +636,7 @@ class FleetState:
         # pps denominators.  Nothing reads packet sizes between a
         # refresh and the next apply_traffic, so the write point is
         # unobservable.
-        self.packet_bytes[self.scatter_ports] = 700.0  # FLEET_PACKET_BYTES
+        self.packet_bytes[self.scatter_ports] = FLEET_PACKET_BYTES
         # Scatter targets as positions within the active-port set (the
         # active set contains every scatter port by construction).
         self._scatter_pos = np.searchsorted(
@@ -797,11 +768,12 @@ class FleetState:
     # -- one simulation step, vectorized ----------------------------------------------
 
     def apply_traffic(self, t_s: float) -> float:
-        """Vectorised mirror of ``NetworkSimulation._apply_traffic``.
+        """Offer this step's demand to every linked port.
 
-        Consumes the traffic model's RNG exactly like the object path
-        (externals first, then the internal factor) and returns total
-        external ingress bps.
+        Consumes the traffic model's RNG exactly like the scalar
+        ``external_rates_at`` / ``internal_rates_at`` calls (externals
+        first, then the internal factor) and returns total external
+        ingress bps.
         """
         _, demand_rates = self.traffic.external_rates_vector(t_s)
         mult, noise = self.traffic.internal_rate_factors(t_s)
@@ -832,11 +804,12 @@ class FleetState:
     def advance_counters(self, dt_s: float) -> None:
         """Accumulate counters for one step (mirrors ``Port.advance``).
 
-        Only the active ports (see :meth:`_refresh_links`) are touched:
-        every other port carries zero traffic for the whole
-        configuration, so its increment is exactly 0.0 and ``floor`` of
-        its (integral) counter is the identity -- skipping it is
-        bit-identical to the full-width update.
+        Each ``uint64`` counter gains the whole part of its increment
+        and wraps at 2^64 -- exactly :meth:`Counters.add
+        <repro.hardware.router.Counters.add>`.  Only the active ports
+        (see :meth:`_refresh_links`) are touched: every other port
+        carries zero traffic for the whole configuration, so its
+        increment is zero.
         """
         rx = self._ap_rx
         tx = self._ap_tx
@@ -849,21 +822,14 @@ class FleetState:
         zero = 0.0
         rx_dt = rx_pps * dt_s
         tx_dt = tx_pps * dt_s
-        # np.floor replicates the object path's int(prev + inc) truncation
-        # (counters are non-negative and integral below 2^53); in-place
-        # add-then-floor computes the same floor(prev + inc).
-        c = self._ap_c_rx_oct
-        np.add(c, np.where(active, rx_dt * frame, zero), out=c)
-        np.floor(c, out=c)
-        c = self._ap_c_tx_oct
-        np.add(c, np.where(active, tx_dt * frame, zero), out=c)
-        np.floor(c, out=c)
-        c = self._ap_c_rx_pkt
-        np.add(c, np.where(active, rx_dt, zero), out=c)
-        np.floor(c, out=c)
-        c = self._ap_c_tx_pkt
-        np.add(c, np.where(active, tx_dt, zero), out=c)
-        np.floor(c, out=c)
+        # The cast truncates the non-negative increments like int(), and
+        # uint64 addition wraps modulo 2^64.
+        self._ap_c_rx_oct += np.where(active, rx_dt * frame,
+                                      zero).astype(np.uint64)
+        self._ap_c_tx_oct += np.where(active, tx_dt * frame,
+                                      zero).astype(np.uint64)
+        self._ap_c_rx_pkt += np.where(active, rx_dt, zero).astype(np.uint64)
+        self._ap_c_tx_pkt += np.where(active, tx_dt, zero).astype(np.uint64)
         self._counters_dirty = True
         # Hand the shared intermediates to wall_power (always the next
         # call in the step loop); consumed once, never stale.
@@ -874,9 +840,10 @@ class FleetState:
 
         ``polled`` flags which steps of the block poll SNMP.  Each
         drawing router makes one ``rng.standard_normal`` call, laid out
-        in the object path's order (per step: ambient draw, then sensor
-        draw) and split into a ``(steps, routers)`` ambient and a
-        ``(polls, routers)`` sensor matrix, read a row per step.  The
+        in the order a scalar step consumes them (per step: ambient
+        draw, then sensor draw) and split into a ``(steps, routers)``
+        ambient and a ``(polls, routers)`` sensor matrix, read a row per
+        step.  The
         caller ends blocks at event boundaries, where other draws may
         happen (docs/PERFORMANCE.md, "Per-router draw order").
 
@@ -1063,18 +1030,15 @@ class FleetState:
 
 
 class VectorizedEngine:
-    """Drives one :class:`NetworkSimulation` run through the fast path.
+    """Drives one :class:`NetworkSimulation` run over a :class:`FleetState`.
 
-    Mirrors ``NetworkSimulation.run``'s step loop exactly -- events, then
-    traffic, then counter/noise advance, then power sampling, SNMP polls
-    and Autopower ticks -- but with all O(ports) work columnar.
+    Each step runs events, then traffic, then counter/noise advance,
+    then power sampling, SNMP polls and Autopower ticks, with all
+    O(ports) work columnar.
     """
 
     def __init__(self, simulation):
         self.sim = simulation
-        #: Captured at construction so one run is internally consistent
-        #: even if the module flag is toggled mid-run (tests do).
-        self.incremental = INCREMENTAL_REFRESH
         self.state = FleetState(
             simulation.network, simulation.traffic,
             new_external_link_ids=simulation._new_external_link_ids,
@@ -1087,11 +1051,11 @@ class VectorizedEngine:
                   ledger: Optional["LedgerAccumulator"] = None) -> None:
         """Advance the fleet one columnar step per entry of ``grid``.
 
-        Mirrors the object engine's stepping contract exactly --
-        events at step boundaries, SNMP polls on the ``polled_steps``
-        of the run's schedule (``grid`` holds the sample times), observer
-        and Autopower hooks -- filling the caller's pre-allocated
-        ``total_power`` / ``total_traffic`` columns.  With a ``ledger``,
+        Events fire at step boundaries and SNMP polls on the
+        ``polled_steps`` of the run's schedule (``grid`` holds the sample
+        times); observer and Autopower hooks run after each step.  The
+        caller's pre-allocated ``total_power`` / ``total_traffic``
+        columns are filled in place.  With a ``ledger``,
         each step additionally writes the attribution split into the
         ledger's buffer (see :meth:`FleetState.wall_power`); the
         wall-power floats are unchanged either way.
@@ -1146,14 +1110,13 @@ class VectorizedEngine:
                        and pending[event_idx].at_s <= t):
                     boundary.append(pending[event_idx])
                     event_idx += 1
-                dirty: Optional[set] = set() if self.incremental else None
-                if dirty is not None:
-                    for event in boundary:
-                        declared = event.dirty_hosts(sim)
-                        if declared is None:
-                            dirty = None
-                            break
-                        dirty.update(declared)
+                dirty: Optional[set] = set()
+                for event in boundary:
+                    declared = event.dirty_hosts(sim)
+                    if declared is None:
+                        dirty = None
+                        break
+                    dirty.update(declared)
                 if dirty is None:
                     with region("kernel.refresh"):
                         state.flush_counters()

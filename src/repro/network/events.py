@@ -30,8 +30,8 @@ def _port_link_hosts(network: ISPNetwork, hostname: str,
     port: flipping one end's admin state (or pulling its module) changes
     ``link_up`` on *both* ends, so both routers' columnar state goes
     stale.  Returns ``None`` for unknown hostnames so the caller falls
-    back to the full-rebuild path (which reproduces the object path's
-    error on apply).
+    back to the full-rebuild path (where ``apply`` raises the lookup
+    error).
     """
     if hostname not in network.routers:
         return None
@@ -68,7 +68,7 @@ class FleetEvent:
                     ) -> Optional[FrozenSet[str]]:
         """Routers whose columnar state this event invalidates.
 
-        The vectorized engine patches exactly these routers' columns at
+        The engine patches exactly these routers' columns at
         the event boundary instead of rebuilding the whole fleet (the
         incremental-refresh contract, docs/PERFORMANCE.md).  ``None``
         means the event may change fleet-wide structure -- the link

@@ -14,7 +14,6 @@ network-wide power/traffic series of Fig. 1.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -24,7 +23,7 @@ from repro import units
 from repro.network.events import FleetEvent
 from repro.network.topology import ISPNetwork, Link
 from repro.network.traffic import FleetTrafficModel
-from repro.obs import metrics, profile, tracing
+from repro.obs import metrics, tracing
 from repro.obs.logging import get_logger
 from repro.telemetry.autopower import (AutopowerClient, AutopowerServer,
                                        Transport, deploy_unit)
@@ -35,22 +34,16 @@ if TYPE_CHECKING:
     from repro.network.engine import VectorizedEngine
     from repro.obs.ledger import LedgerAccumulator
 
-#: Average payload size assigned to fleet traffic (IMIX-flavoured).
-FLEET_PACKET_BYTES = 700.0
-
 _log = get_logger("network.sim")
 
-#: Step latencies span ~50 us (vector) to ~10 ms (object, big fleets).
+#: Step latencies span ~50 us (small fleets) to ~30 ms (synth-10k).
 STEP_LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
     0.01, 0.025, 0.05, 0.1, 0.25, 1.0)
 
 M_ENGINE_RUNS = metrics.counter(
     "netpower_sim_engine_runs_total",
-    "Simulation runs started, by engine actually used", labels=("engine",))
-M_ENGINE_FALLBACK = metrics.counter(
-    "netpower_sim_engine_fallback_total",
-    "engine='auto' selections that fell back to the object loop")
+    "Simulation runs started, by engine", labels=("engine",))
 M_STEPS = metrics.counter(
     "netpower_sim_steps_total",
     "Simulation steps executed, by engine", labels=("engine",))
@@ -79,8 +72,8 @@ def step_schedule(start_s: float, step_s: float, n_steps: int,
     The clock advances by repeated addition of ``step_s`` from
     ``start_s``; a step polls once its sample time reaches the next due
     poll, and polls fall due every ``max(snmp_period_s, step_s)`` from
-    the start.  Both engines step on this one schedule, and the
-    vectorized engine sizes its blocks of pre-drawn sensor noise from it.
+    the start.  The engine steps on this schedule and sizes its blocks
+    of pre-drawn sensor noise from it.
     """
     grid = np.empty(n_steps)
     polled = np.zeros(n_steps, dtype=bool)
@@ -121,7 +114,7 @@ class StepSnapshot:
 
 
 class StepObserver:
-    """Hook invoked identically by both simulation engines.
+    """Hook invoked once per simulation step.
 
     Subclass and override what you need; every method is a no-op by
     default.  Observers attach via :meth:`NetworkSimulation.add_observer`
@@ -132,17 +125,17 @@ class StepObserver:
     Observers never draw from a router's RNG: no
     ``psu_reported_power_w`` or ``psu_sensor_snapshots`` calls, read what
     the SNMP collector recorded instead (as
-    :mod:`repro.telemetry.sources` does).  Between events the vectorized
-    engine has already drawn each router's ambient and sensor noise for a
-    block of steps (docs/PERFORMANCE.md, "Per-router draw order"), so an
+    :mod:`repro.telemetry.sources` does).  Between events the engine
+    has already drawn each router's ambient and sensor noise for a block
+    of steps (docs/PERFORMANCE.md, "Per-router draw order"), so an
     observer's draw would shift every later value of that router's
-    stream and the two engines would no longer agree.
+    stream.
     """
 
     def view_hosts(self) -> Sequence[str]:
         """Hostnames whose Port/router objects must stay fresh per step.
 
-        The vectorized engine keeps only these routers' objects in sync
+        The engine keeps only these routers' objects in sync
         with the columnar state during the run (the same mechanism that
         serves Autopower meters); list every router the observer reads
         object state from (``wall_power_w``, ``device_power_w``, port
@@ -187,6 +180,9 @@ class SimulationResult:
 class NetworkSimulation:
     """Drives an :class:`ISPNetwork` through simulated wall-clock time."""
 
+    #: Engine name reported to observers, metric labels and run reports.
+    engine_name = "vector"
+
     def __init__(self, network: ISPNetwork, traffic: FleetTrafficModel,
                  rng: Optional[np.random.Generator] = None,
                  start_s: float = 0.0):
@@ -198,9 +194,9 @@ class NetworkSimulation:
         self.autopower_clients: Dict[str, AutopowerClient] = {}
         self.observers: List[StepObserver] = []
         self._new_external_link_ids: Set[int] = set()
-        #: Engine retained from the last ``engine="vector"`` run so
-        #: callers (the bench ladder) can read its memory footprint.
-        self.last_vector_engine: Optional[VectorizedEngine] = None
+        #: Engine retained from the last run so callers (the bench
+        #: ladder) can read its memory footprint.
+        self.last_engine: Optional[VectorizedEngine] = None
 
     # -- observers ------------------------------------------------------------------
 
@@ -210,7 +206,7 @@ class NetworkSimulation:
         return observer
 
     def _view_hosts(self) -> tuple:
-        """Routers whose objects the vector engine must keep synced:
+        """Routers whose objects the engine must keep synced:
         Autopower'd hosts plus everything the observers ask for."""
         hosts = dict.fromkeys(self.autopower_clients)
         for observer in self.observers:
@@ -241,35 +237,6 @@ class NetworkSimulation:
         if new_external is not None:
             self._new_external_link_ids.add(new_external.link_id)
 
-    # -- traffic application ----------------------------------------------------------
-
-    def _apply_traffic(self, t_s: float) -> float:
-        """Set offered traffic on every port; returns total ingress bps."""
-        external_rates = self.traffic.external_rates_at(t_s)
-        internal_rates = self.traffic.internal_rates_at(t_s)
-        total_ingress = 0.0
-        for link in self.network.links:
-            port_a = self.network.port_of(link.a)
-            if link.is_internal:
-                rate = internal_rates.get(link.link_id, 0.0)
-                rate = min(rate, 0.95 * units.gbps_to_bps(link.speed_gbps))
-                port_b = self.network.port_of(link.b)
-                port_a.offer_traffic(rx_bps=rate, tx_bps=rate,
-                                     packet_bytes=FLEET_PACKET_BYTES)
-                port_b.offer_traffic(rx_bps=rate, tx_bps=rate,
-                                     packet_bytes=FLEET_PACKET_BYTES)
-            else:
-                rate = external_rates.get(link.link_id, 0.0)
-                if rate == 0.0 and link.link_id in self._new_external_link_ids:
-                    # Links added mid-run get a modest default demand.
-                    rate = 0.02 * units.gbps_to_bps(link.speed_gbps)
-                if not port_a.link_up:
-                    rate = 0.0
-                port_a.offer_traffic(rx_bps=rate, tx_bps=rate,
-                                     packet_bytes=FLEET_PACKET_BYTES)
-                total_ingress += rate
-        return total_ingress
-
     # -- the main loop -------------------------------------------------------------------
 
     def run(self, duration_s: float, step_s: float = 300.0,
@@ -295,11 +262,9 @@ class NetworkSimulation:
             power is always recorded).  Defaults to the Autopower'd hosts
             plus any event targets; pass explicitly for full control.
         engine:
-            ``"auto"`` (default) uses the vectorized fast path when the
-            fleet supports it, ``"vector"`` forces it (raising if the
-            fleet does not support it), ``"object"`` forces the original
-            per-object loop.  See :mod:`repro.network.engine`; results
-            agree within float tolerance (docs/PERFORMANCE.md).
+            Accepted for compatibility: ``"auto"`` and ``"vector"`` both
+            run the one columnar engine (:mod:`repro.network.engine`);
+            anything else is a ``ValueError``.
         attribution:
             When ``True``, run an energy attribution ledger alongside the
             simulation: every step each router's wall power is split into
@@ -311,22 +276,10 @@ class NetworkSimulation:
         """
         if step_s <= 0 or duration_s <= 0:
             raise ValueError("duration and step must be positive")
-        if engine not in ("auto", "vector", "object"):
+        if engine not in ("auto", "vector"):
             raise ValueError(
-                f"engine must be 'auto', 'vector' or 'object', got {engine!r}")
-        from repro.network.engine import VectorizedEngine, supports_vectorized
-        requested = engine
-        if engine == "auto":
-            engine = ("vector" if supports_vectorized(self.network)
-                      else "object")
-            if engine == "object":
-                M_ENGINE_FALLBACK.inc()
-                _log.info("fleet not vectorizable; falling back to the "
-                          "object engine")
-        elif engine == "vector" and not supports_vectorized(self.network):
-            raise ValueError(
-                "fleet has PSU configurations the vectorized engine cannot "
-                "evaluate; use engine='auto' or engine='object'")
+                f"engine must be 'auto' or 'vector', got {engine!r}")
+        engine = self.engine_name
         pending = sorted(events, key=lambda e: e.at_s)
         if detailed_hosts is None:
             detailed = {getattr(e, "hostname", "") for e in pending}
@@ -352,23 +305,15 @@ class NetworkSimulation:
 
         M_ENGINE_RUNS.labels(engine=engine).inc()
         with tracing.span("sim.run", sim_clock=lambda: self.clock_s,
-                          engine=engine, requested=requested,
-                          n_steps=n_steps,
+                          engine=engine, n_steps=n_steps,
                           routers=len(self.network.routers)):
             for observer in self.observers:
                 observer.on_run_start(self, engine, collector, step_s,
                                       n_steps)
             with tracing.span("sim.steps", sim_clock=lambda: self.clock_s):
-                if engine == "vector":
-                    vec = VectorizedEngine(self)
-                    self.last_vector_engine = vec
-                    vec.run_steps(
-                        step_s, pending, collector, grid, polled_steps,
-                        total_power, total_traffic, ledger=ledger)
-                else:
-                    self._run_steps_object(
-                        step_s, pending, collector, grid, polled_steps,
-                        total_power, total_traffic, ledger=ledger)
+                self._run_steps(step_s, pending, collector, grid,
+                                polled_steps, total_power, total_traffic,
+                                ledger)
 
             with tracing.span("sim.finalize",
                               sim_clock=lambda: self.clock_s):
@@ -403,97 +348,13 @@ class NetworkSimulation:
                          if n_steps else 0.0})
         return result
 
-    def _run_steps_object(self, step_s: float, pending,
-                          collector: SnmpCollector, grid: np.ndarray,
-                          polled_steps: np.ndarray, total_power: np.ndarray,
-                          total_traffic: np.ndarray,
-                          ledger: Optional["LedgerAccumulator"] = None,
-                          ) -> None:
-        """The original per-object step loop (reference implementation)."""
-        if ledger is not None:
-            from repro.network.attribution import router_breakdown
-            from repro.obs.ledger import COMPONENTS
-        event_idx = 0
-        # Kernel regions resolve to a shared no-op context while
-        # profiling is disabled (see repro.obs.profile).
-        region = profile.region
-        observing = metrics.enabled()
-        observers = self.observers
-        step_durations: List[float] = []
-        for step in range(len(grid)):
-            if observing:
-                # netpower: ignore[NP-DET-001] -- wall-clock here only
-                # feeds the step-latency histogram (an observability
-                # side-channel); simulation results never read it.
-                step_t0 = time.perf_counter()
-            t = self.clock_s
-            while event_idx < len(pending) and pending[event_idx].at_s <= t:
-                M_EVENTS.labels(type=type(pending[event_idx]).__name__).inc()
-                pending[event_idx].apply(self)
-                event_idx += 1
-            with region("kernel.apply_traffic"):
-                ingress = self._apply_traffic(t)
-            with region("kernel.advance_counters"):
-                for router in self.network.routers.values():
-                    router.advance(step_s)
-            t_sample = self.clock_s = float(grid[step])
-            fleet_attr = None
-            if ledger is not None:
-                # router_breakdown returns the same wall power as
-                # wall_power_w(); summed in the same sequential order as
-                # total_wall_power_w(), so totals stay byte-identical
-                # with attribution on.
-                buf = ledger.power_buf
-                power_by_host = {}
-                total = 0.0
-                with region("kernel.wall_power"):
-                    for i, (host, router) in enumerate(
-                            self.network.routers.items()):
-                        wall = router_breakdown(router, buf[i])
-                        power_by_host[host] = wall
-                        total += wall
-                total_power[step] = total
-                fleet_attr = ledger.record(
-                    t_sample, step_s, buf,
-                    np.array(list(power_by_host.values())))
-            elif observers:
-                # One wall-power read per router, summed in the same
-                # sequential order as total_wall_power_w() so the total
-                # stays byte-identical with observers attached.
-                with region("kernel.wall_power"):
-                    power_by_host = {host: router.wall_power_w()
-                                     for host, router
-                                     in self.network.routers.items()}
-                    total = 0.0
-                    for value in power_by_host.values():
-                        total += value
-                total_power[step] = total
-            else:
-                with region("kernel.wall_power"):
-                    total_power[step] = self.network.total_wall_power_w()
-            total_traffic[step] = ingress
-            polled = bool(polled_steps[step])
-            if polled:
-                M_SNMP_POLLS.inc()
-                collector.record(t_sample)
-            for client in self.autopower_clients.values():
-                client.tick(t_sample)
-            if observers:
-                with region("kernel.observers"):
-                    snapshot = StepSnapshot(
-                        step=step, t_s=t_sample, step_s=step_s,
-                        total_power_w=float(total_power[step]),
-                        total_traffic_bps=float(ingress),
-                        power_by_host=power_by_host, snmp_polled=polled,
-                        attribution=(None if fleet_attr is None else
-                                     {name: float(fleet_attr[k])
-                                      for k, name in enumerate(COMPONENTS)}))
-                    for observer in observers:
-                        observer.on_step(snapshot)
-            if observing:
-                # netpower: ignore[NP-DET-001] -- same side-channel as
-                # above: latency only, never simulation state.
-                step_durations.append(time.perf_counter() - step_t0)
-        if step_durations:
-            M_STEP_SECONDS.labels(engine="object").observe_many(
-                step_durations)
+    def _run_steps(self, step_s: float, pending: Sequence[FleetEvent],
+                   collector: SnmpCollector, grid: np.ndarray,
+                   polled_steps: np.ndarray, total_power: np.ndarray,
+                   total_traffic: np.ndarray,
+                   ledger: Optional["LedgerAccumulator"]) -> None:
+        """Step the fleet through ``grid`` on the columnar engine."""
+        from repro.network.engine import VectorizedEngine
+        engine = self.last_engine = VectorizedEngine(self)
+        engine.run_steps(step_s, pending, collector, grid, polled_steps,
+                         total_power, total_traffic, ledger=ledger)

@@ -25,8 +25,7 @@ This module generates such fleets deterministically:
 Everything derives from one ``numpy`` Generator: the same seed and
 config produce a byte-identical fleet (inventory JSON and simulation
 results) on every run and any worker count.  Noise is off by default so
-the generated fleets stay bit-identical across both engines without
-consuming per-router RNG draws during runs.
+runs of the generated fleets consume no per-router RNG draws.
 """
 
 from __future__ import annotations

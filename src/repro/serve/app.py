@@ -1,8 +1,8 @@
 """The ``netpower serve`` HTTP server (stdlib ``asyncio`` only).
 
 A deliberately small HTTP/1.1 implementation: request line + headers
-via ``readuntil``, body via ``readexactly(Content-Length)``,
-keep-alive by default.  Endpoints:
+via ``readuntil``, body via ``readexactly(Content-Length)`` within
+:data:`BODY_TIMEOUT_S` of the head, keep-alive by default.  Endpoints:
 
 ========  ======  ==================================================
 path      method  behaviour
@@ -48,6 +48,9 @@ from repro.serve.state import FleetService
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Stream buffer limit (headers must fit well within this).
 STREAM_LIMIT = 1024 * 1024
+#: Seconds a request body may take to arrive once its head has; a
+#: client that stalls mid-body gets 408 and a close.
+BODY_TIMEOUT_S = 10.0
 
 #: Routed paths.  They are the only ``endpoint`` metric labels besides
 #: :data:`OTHER_ENDPOINT` (any other path) and ``<bad>`` (unparseable
@@ -245,7 +248,17 @@ class NetpowerServer:
                                 started=time.perf_counter(),
                                 keep_alive=False)
             return False
-        body = await reader.readexactly(length) if length else b""
+        body = b""
+        if length:
+            try:
+                async with asyncio.timeout(BODY_TIMEOUT_S):
+                    body = await reader.readexactly(length)
+            except TimeoutError:
+                await self._respond(writer, 408, error_body("body timeout"),
+                                    endpoint=endpoint_label(path),
+                                    started=time.perf_counter(),
+                                    keep_alive=False)
+                return False
         started = time.perf_counter()
         status, payload, content_type, extra = await self._route(
             method, path, body)
@@ -268,7 +281,8 @@ class NetpowerServer:
         return headers
 
     _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed", 413: "Payload Too Large",
+                405: "Method Not Allowed", 408: "Request Timeout",
+                413: "Payload Too Large",
                 500: "Internal Server Error", 503: "Service Unavailable"}
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,

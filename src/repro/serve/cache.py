@@ -2,9 +2,10 @@
 
 A cache entry is the scalar power contribution of one interface --
 ``(router model, resolved class, flags, quantised two-direction
-rates) -> watts`` -- computed with exactly the IEEE operation sequence
-:func:`~repro.core.prediction.predict_trace` applies elementwise to a
-matrix column.  Assembly then replays the matrix call's reduction
+rates) -> watts`` -- computed by the same elementwise functions
+:func:`~repro.core.prediction.predict_trace` applies to a matrix
+column (:func:`~repro.core.prediction.physical_bit_rate`,
+:func:`~repro.core.prediction.active_interface_power`).  Assembly then replays the matrix call's reduction
 order (a sequential row fold per class group, groups in canonical
 order, base power first), so a cache-served response is bit-equal to
 the full tier's.  See :mod:`repro.serve.batching` for why the fold is
@@ -16,9 +17,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro import units
 from repro.activity import prediction_active
 from repro.core.model import PowerModel
+from repro.core.prediction import active_interface_power, physical_bit_rate
 from repro.serve.schemas import InterfaceQuery, RouterQuery
 
 #: Cache capacity (entries); least-recently-used beyond this.
@@ -30,21 +31,14 @@ def member_contribution(model: PowerModel, member: InterfaceQuery,
                         active_pps_threshold: float) -> float:
     """One interface's scalar power term, matrix-bit-equal.
 
-    Mirrors the elementwise expression inside ``predict_trace`` --
-    same operand order, same IEEE doubles -- evaluated at this
-    member's quantised rates.
+    ``predict_trace``'s elementwise functions evaluated on floats at
+    this member's quantised rates.
     """
     iface_model = model.interface_model(member.class_key)
-    octets = member.oct_rate
-    packets = member.pkt_rate
-    bps = units.BITS_PER_BYTE * (
-        octets + units.ETHERNET_OVERHEAD_BYTES * packets)
-    pps = packets
+    pps = member.pkt_rate
     if prediction_active(pps, active_pps_threshold):
-        return (iface_model.p_trx_in_w.value + iface_model.p_port_w.value
-                + iface_model.p_trx_up_w.value
-                + iface_model.p_offset_w.value
-                + iface_model.e_bit_j * bps + iface_model.e_pkt_j * pps)
+        return active_interface_power(
+            iface_model, physical_bit_rate(member.oct_rate, pps), pps)
     if assume_unplugged_when_idle:
         return 0.0
     return iface_model.p_trx_in_w.value

@@ -124,8 +124,7 @@ class FleetService:
         sim = NetworkSimulation(
             network, traffic, rng=np.random.default_rng(seed + 2))
         result = sim.run(duration_s=warmup_steps * warmup_step_s,
-                         step_s=warmup_step_s, engine="auto",
-                         attribution=True)
+                         step_s=warmup_step_s, attribution=True)
         service._network = network
         service._internal_links = {
             link.link_id: link for link in network.links

@@ -7,7 +7,7 @@
   resume-able report assembly, and cross-process metrics merging.
 
 The headline guarantee: a sweep report is a pure function of
-``(matrix, root_seed, engine)`` -- worker count, sharding, resume
+``(matrix, root_seed)`` -- worker count, sharding, resume
 boundaries, and completion order never change a byte (docs/SWEEP.md).
 """
 

@@ -18,8 +18,7 @@ three hard guarantees (docs/SWEEP.md):
 
 Wall-clock timings never enter the deterministic report: per-job timing
 rows go to a sibling ``*.bench.json`` file whose layout follows the
-:mod:`repro.bench` schema v6 case entries (one engine key
-per row; the other stays absent).
+:mod:`repro.bench` schema v7 case entries.
 
 When tracing is active (``--trace-out``), every job runs under its own
 :class:`~repro.obs.tracing.Tracer`; workers ship the per-job span tree
@@ -51,12 +50,7 @@ from repro import bench
 from repro.hardware.psu import SharingPolicy
 from repro.ioutil import atomic_write_text
 from repro.monitor.aggregate import AggregatingObserver
-from repro.network import (
-    FleetTrafficModel,
-    NetworkSimulation,
-    SetAdminState,
-    supports_vectorized,
-)
+from repro.network import FleetTrafficModel, NetworkSimulation, SetAdminState
 from repro.obs import metrics, profile, tracing
 from repro.obs.logging import get_logger
 from repro.sleep import Hypnos, HypnosConfig, plan_savings
@@ -116,13 +110,13 @@ def _sleep_events(network, plan) -> List[SetAdminState]:
     return events
 
 
-def run_job(spec: JobSpec, root_seed: int, engine: str = "auto",
+def run_job(spec: JobSpec, root_seed: int,
             attribution: bool = False) -> Tuple[Dict, Dict]:
     """Execute one scenario; returns ``(report_entry, bench_row)``.
 
     The report entry contains only values that are deterministic in
-    ``(spec, root_seed, engine)``; everything wall-clock lives in the
-    bench row (a :mod:`repro.bench` schema-v6-shaped case entry).
+    ``(spec, root_seed)``; everything wall-clock lives in the bench row
+    (a :mod:`repro.bench` schema-v7-shaped case entry).
     With ``attribution`` on, the entry gains an ``"attribution"`` key
     (the run's energy-ledger rollup); off adds no keys at all, keeping
     pre-attribution reports byte-identical.
@@ -164,14 +158,11 @@ def run_job(spec: JobSpec, root_seed: int, engine: str = "auto",
                 "saving_upper_fraction": round(estimate.upper_fraction, 8),
             }
 
-        if engine == "auto":
-            engine = ("vector" if supports_vectorized(network)
-                      else "object")
         sim = NetworkSimulation(network, traffic,
                                 rng=np.random.default_rng(seed + 2))
         aggregate = sim.add_observer(AggregatingObserver())
         result = sim.run(duration_s=spec.duration_s, step_s=spec.step_s,
-                         events=events, detailed_hosts=(), engine=engine,
+                         events=events, detailed_hosts=(),
                          attribution=attribution)
 
     fleet_shape = {
@@ -186,7 +177,7 @@ def run_job(spec: JobSpec, root_seed: int, engine: str = "auto",
         "scenario": {"topology": spec.topology, "traffic": spec.traffic,
                      "sleep": spec.sleep, "psu": spec.psu},
         "fleet": fleet_shape,
-        "run": {"engine": engine, "n_steps": n_steps,
+        "run": {"engine": sim.engine_name, "n_steps": n_steps,
                 "step_s": spec.step_s, "duration_s": spec.duration_s,
                 "events": len(events)},
         "aggregates": aggregate.to_dict(),
@@ -203,7 +194,7 @@ def run_job(spec: JobSpec, root_seed: int, engine: str = "auto",
         "seed": seed,
         "n_steps": n_steps,
         "step_s": spec.step_s,
-        engine: {
+        sim.engine_name: {
             "wall_s": round(wall_s, 4),
             "ms_per_step": round(units.s_to_ms(wall_s) / max(n_steps, 1), 4),
         },
@@ -211,7 +202,7 @@ def run_job(spec: JobSpec, root_seed: int, engine: str = "auto",
     return entry, bench_row
 
 
-def _execute_job(spec: JobSpec, root_seed: int, engine: str,
+def _execute_job(spec: JobSpec, root_seed: int,
                  collect_metrics: bool, attribution: bool,
                  capture_trace: bool = False,
                  trace_id: Optional[str] = None,
@@ -248,10 +239,10 @@ def _execute_job(spec: JobSpec, root_seed: int, engine: str,
                     with metrics.use_registry(
                             metrics.MetricsRegistry()) as registry:
                         entry, bench_row = run_job(spec, root_seed,
-                                                   engine, attribution)
+                                                   attribution)
                     state = registry.snapshot_state()
                 else:
-                    entry, bench_row = run_job(spec, root_seed, engine,
+                    entry, bench_row = run_job(spec, root_seed,
                                                attribution)
                     state = None
         trace_doc = tracer.to_dict() if tracer is not None else None
@@ -277,7 +268,7 @@ class _KeepTracerContext:
 _KEEP_TRACER = _KeepTracerContext()
 
 
-def _worker_main(task_queue, result_queue, root_seed: int, engine: str,
+def _worker_main(task_queue, result_queue, root_seed: int,
                  collect_metrics: bool, attribution: bool,
                  capture_trace: bool = False,
                  trace_id: Optional[str] = None,
@@ -288,7 +279,7 @@ def _worker_main(task_queue, result_queue, root_seed: int, engine: str,
         if spec is None:
             return
         result_queue.put(
-            _execute_job(spec, root_seed, engine, collect_metrics,
+            _execute_job(spec, root_seed, collect_metrics,
                          attribution, capture_trace, trace_id,
                          capture_profile))
 
@@ -298,14 +289,13 @@ def _atomic_write(path: Path, text: str) -> None:
     atomic_write_text(path, text)
 
 
-def _report_document(matrix: ScenarioMatrix, root_seed: int, engine: str,
+def _report_document(matrix: ScenarioMatrix, root_seed: int,
                      completed: Dict[str, Dict],
                      attribution: bool = False) -> Dict:
     document = {
         "schema": SCHEMA,
         "generated_by": "netpower sweep",
         "root_seed": root_seed,
-        "engine": engine,
         "matrix": matrix.to_dict(),
         "n_jobs": matrix.n_jobs,
         "jobs": [completed[key] for key in sorted(completed)],
@@ -322,12 +312,12 @@ def _write_report(output: Path, document: Dict) -> None:
 
 
 def load_previous_jobs(output: Path, matrix: ScenarioMatrix,
-                       root_seed: int, engine: str,
+                       root_seed: int,
                        attribution: bool = False) -> Dict[str, Dict]:
     """Completed job entries from an existing report (resume support).
 
     Missing or unreadable reports mean a fresh start; a *readable*
-    report whose matrix, seed, or engine differ raises -- silently
+    report whose matrix or seed differ raises -- silently
     grafting jobs from a different sweep onto this one would corrupt
     the determinism guarantee resume exists to preserve.
     """
@@ -339,7 +329,7 @@ def load_previous_jobs(output: Path, matrix: ScenarioMatrix,
         return {}
     if not isinstance(previous, dict) or previous.get("schema") != SCHEMA:
         return {}
-    for field, expected in (("root_seed", root_seed), ("engine", engine),
+    for field, expected in (("root_seed", root_seed),
                             ("matrix", matrix.to_dict())):
         if previous.get(field) != expected:
             raise ValueError(
@@ -361,7 +351,7 @@ def load_previous_jobs(output: Path, matrix: ScenarioMatrix,
 
 def _write_bench_rows(bench_output: Path, root_seed: int,
                       step_s: float, rows: Dict[str, Dict]) -> None:
-    """Per-job timing rows as a :mod:`repro.bench` schema v6 report.
+    """Per-job timing rows as a :mod:`repro.bench` schema v7 report.
 
     Re-run jobs replace their previous rows, kept rows survive (the
     same merge contract as ``repro.bench.run_benchmarks``), and the
@@ -391,7 +381,6 @@ def run_sweep(matrix: ScenarioMatrix,
               resume: bool = False,
               output: Optional[Path] = None,
               bench_output: Optional[Path] = None,
-              engine: str = "auto",
               attribution: bool = False,
               progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run (part of) a scenario matrix and return the report document.
@@ -417,8 +406,6 @@ def run_sweep(matrix: ScenarioMatrix,
     bench_output:
         Timing-row path (default: next to ``output``; timings are
         dropped entirely when both are ``None``).
-    engine:
-        Simulation engine for every job (``auto`` resolves per fleet).
     attribution:
         Attach the energy attribution ledger to every job and include
         its per-job rollup in the report.  The report gains a top-level
@@ -440,7 +427,7 @@ def run_sweep(matrix: ScenarioMatrix,
 
     completed: Dict[str, Dict] = {}
     if resume and output is not None:
-        completed = load_previous_jobs(output, matrix, root_seed, engine,
+        completed = load_previous_jobs(output, matrix, root_seed,
                                        attribution)
         kept = [job.key for job in job_list if job.key in completed]
         if kept:
@@ -480,7 +467,7 @@ def run_sweep(matrix: ScenarioMatrix,
         M_JOBS.labels(status="ok").inc()
         if output is not None:
             _write_report(output, _report_document(
-                matrix, root_seed, engine, completed, attribution))
+                matrix, root_seed, completed, attribution))
         aggregates = payload["aggregates"]
         say(f"job {key}: mean {aggregates['mean_power_w']:,.0f} W over "
             f"{aggregates['steps']} steps "
@@ -494,7 +481,7 @@ def run_sweep(matrix: ScenarioMatrix,
                       to_run=len(to_run), root_seed=root_seed):
         if n_workers == 1 or len(to_run) <= 1:
             for spec in to_run:
-                absorb(*_execute_job(spec, root_seed, engine,
+                absorb(*_execute_job(spec, root_seed,
                                      collect_metrics, attribution,
                                      capture_trace, trace_id,
                                      capture_profile))
@@ -509,7 +496,7 @@ def run_sweep(matrix: ScenarioMatrix,
             procs = [
                 context.Process(
                     target=_worker_main,
-                    args=(task_queue, result_queue, root_seed, engine,
+                    args=(task_queue, result_queue, root_seed,
                           collect_metrics, attribution, capture_trace,
                           trace_id, capture_profile),
                     daemon=True)
@@ -555,7 +542,7 @@ def run_sweep(matrix: ScenarioMatrix,
                       else default_bench_output(output))
         _write_bench_rows(bench_path, root_seed, matrix.step_s, bench_rows)
 
-    document = _report_document(matrix, root_seed, engine, completed,
+    document = _report_document(matrix, root_seed, completed,
                                 attribution)
     if output is not None:
         _write_report(output, document)

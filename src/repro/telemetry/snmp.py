@@ -241,7 +241,7 @@ class SnmpCollector:
                       state: "FleetState") -> None:
         """Columnar-engine poll: byte-identical records, no object detour.
 
-        The vectorized engine hands its per-router wall-power column and
+        The columnar engine hands its per-router wall-power column and
         its :class:`~repro.network.engine.FleetState` straight in: the
         PSU-reported power of the whole fleet is one
         :meth:`~repro.network.engine.FleetState.psu_reported_power` call
@@ -305,12 +305,17 @@ class SnmpCollector:
             interfaces: Dict[str, InterfaceTrace] = {}
             for iface_name, slot in self._counters.get(hostname, {}).items():
                 iface_ts = np.array(slot[0], dtype=float)
+                # uint64 up front: a list mixing values on both sides
+                # of 2^63 would otherwise become float64 and round.
+                rx_oct, tx_oct, rx_pkt, tx_pkt = (
+                    np.array(column, dtype=np.uint64)
+                    for column in slot[1:])
                 interfaces[iface_name] = InterfaceTrace(
                     name=iface_name,
-                    rx_octets=CounterSeries(iface_ts, np.array(slot[1])),
-                    tx_octets=CounterSeries(iface_ts, np.array(slot[2])),
-                    rx_packets=CounterSeries(iface_ts, np.array(slot[3])),
-                    tx_packets=CounterSeries(iface_ts, np.array(slot[4])),
+                    rx_octets=CounterSeries(iface_ts, rx_oct),
+                    tx_octets=CounterSeries(iface_ts, tx_oct),
+                    rx_packets=CounterSeries(iface_ts, rx_pkt),
+                    tx_packets=CounterSeries(iface_ts, tx_pkt),
                 )
             traces[hostname] = RouterTrace(
                 hostname=hostname,

@@ -5,9 +5,10 @@ seeded event schedules as the incremental-refresh suite (helpers are
 imported from :mod:`tests.test_engine_incremental`):
 
 * **Conservation** -- the conserved components sum to the engine's wall
-  power within 1e-9 W per router per step, on both engines, for any
-  seeded schedule (a Hypothesis property over schedule seeds).
-* **Engine agreement** -- object and vector ledgers attribute the same
+  power within 1e-9 W per router per step, on the engine and the object
+  oracle, for any seeded schedule (a Hypothesis property over schedule
+  seeds).
+* **Engine agreement** -- oracle and engine ledgers attribute the same
   joules to the same components wherever their wall power agrees.
 * **Byte identity** -- attribution on vs off never changes a simulated
   byte, and the ledger itself is bitwise stable across the incremental
@@ -43,24 +44,15 @@ from tests.test_engine_incremental import (
     _assert_bitwise_identical,
     _build,
     _random_events,
+    _run,
 )
 
 
 def _run_attr(engine: str, events, attribution: bool = True,
               incremental: bool = True, seed: int = 11):
     """One seeded run with the energy ledger attached (or not)."""
-    from repro.network import engine as engine_mod
-
-    saved = engine_mod.INCREMENTAL_REFRESH
-    engine_mod.INCREMENTAL_REFRESH = incremental
-    try:
-        network, sim = _build(seed)
-        result = sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S,
-                         events=list(events), engine=engine,
-                         attribution=attribution)
-    finally:
-        engine_mod.INCREMENTAL_REFRESH = saved
-    return network, result
+    return _run(engine, events, incremental=incremental, seed=seed,
+                attribution=attribution)
 
 
 def _hosts():
@@ -170,7 +162,7 @@ class TestDashboard:
         network, sim = _build()
         monitor = FleetMonitor()
         sim.add_observer(monitor)
-        sim.run(duration_s=10 * STEP_S, step_s=STEP_S, engine="vector",
+        sim.run(duration_s=10 * STEP_S, step_s=STEP_S,
                 attribution=attribution)
         return build_snapshot(monitor)
 
@@ -193,9 +185,8 @@ class TestSweepAttribution:
     def test_rollup_rides_along_without_touching_the_entry(self):
         spec = JobSpec("tiny", "quiet", "none", "balanced",
                        2 * 900.0, 900.0)
-        on, _ = run_job(spec, root_seed=7, engine="vector",
-                        attribution=True)
-        off, _ = run_job(spec, root_seed=7, engine="vector")
+        on, _ = run_job(spec, root_seed=7, attribution=True)
+        off, _ = run_job(spec, root_seed=7)
         assert "attribution" not in off
         block = on.pop("attribution")
         assert block["conserved"] is True

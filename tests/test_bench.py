@@ -42,20 +42,20 @@ class TestBenchModule:
         assert [c["name"] for c in report["cases"]] == ["small"]
         case = report["cases"][0]
         for key in ("routers", "ports", "links", "n_steps", "step_s",
-                    "object", "vector", "phases", "speedup",
-                    "total_power_max_rel_err"):
+                    "vector", "memory", "phases", "attribution"):
             assert key in case, key
+        # v7 times the one engine; the object-loop rows are gone.
+        for key in ("object", "engines", "speedup",
+                    "total_power_max_rel_err", "object_skipped"):
+            assert key not in case, key
         assert case["n_steps"] == 20
-        for engine in ("object", "vector"):
-            assert case[engine]["wall_s"] > 0
-            assert case[engine]["ms_per_step"] > 0
-            # Phase timings come from the tracing spans; the run phase
-            # is the same measurement the wall_s headline reports.
-            assert case["phases"][engine]["build_s"] >= 0
-            assert case["phases"][engine]["run_s"] > 0
-        assert case["phases"]["crosscheck_s"] >= 0
-        # Same seeds -> same fleet; the engines must agree.
-        assert case["total_power_max_rel_err"] < 1e-9
+        assert case["vector"]["wall_s"] > 0
+        assert case["vector"]["ms_per_step"] > 0
+        # Phase timings come from the tracing spans; the run phase is
+        # the same measurement the wall_s headline reports.
+        assert case["phases"]["vector"]["build_s"] >= 0
+        assert case["phases"]["vector"]["run_s"] > 0
+        assert case["memory"]["state_bytes"] > 0
 
     def test_rejects_nonpositive_steps(self, tmp_path):
         rc = bench.main(["--quick", "--steps", "0",
@@ -75,7 +75,7 @@ class TestReportMerging:
         out = tmp_path / "bench.json"
         # A fake previous full run with a hand-written medium entry.
         previous_medium = {"name": "medium", "seed": 3, "n_steps": 1,
-                          "object": {"wall_s": 9.9}}
+                          "vector": {"wall_s": 9.9}}
         out.write_text(json.dumps({
             "schema": bench.SCHEMA, "seed": 3, "step_s": bench.STEP_S,
             "cases": [previous_medium]}))
@@ -127,13 +127,12 @@ class TestProfileBlocks:
         assert bench.main(["--quick", "--steps", "20",
                            "--output", str(out)]) == 0
         case = json.loads(out.read_text())["cases"][0]
-        for engine in ("object", "vector"):
-            prof = case[engine]["profile"]
-            assert "kernel.apply_traffic" in prof
-            assert "kernel.wall_power" in prof
-            for stats in prof.values():
-                assert stats["calls"] > 0
-                assert stats["cum_ms"] >= stats["self_ms"] >= 0
+        prof = case["vector"]["profile"]
+        assert "kernel.apply_traffic" in prof
+        assert "kernel.wall_power" in prof
+        for stats in prof.values():
+            assert stats["calls"] > 0
+            assert stats["cum_ms"] >= stats["self_ms"] >= 0
 
 
 class TestCompareReports:
@@ -174,9 +173,8 @@ class TestCompareReports:
         current = self._report(tmp_path)
         baseline = copy.deepcopy(current)
         for entry in baseline["cases"]:
-            for engine in ("object", "vector"):
-                for stats in entry[engine]["profile"].values():
-                    stats["cum_ms"] /= 10.0
+            for stats in entry["vector"]["profile"].values():
+                stats["cum_ms"] /= 10.0
         comparison = bench.compare_reports(current, baseline,
                                            min_kernel_ms=1e9)
         assert not any(r["metric"].startswith("kernel:")
@@ -184,7 +182,7 @@ class TestCompareReports:
 
     def test_schema_mismatch_raises(self, tmp_path):
         report = self._report(tmp_path)
-        stale = dict(report, schema="repro.bench.simulation/v5")
+        stale = dict(report, schema="repro.bench.simulation/v6")
         with pytest.raises(ValueError, match="regenerate the baseline"):
             bench.compare_reports(report, stale)
         with pytest.raises(ValueError, match="regenerate the baseline"):
@@ -222,9 +220,8 @@ class TestCompareReports:
         slowed = tmp_path / "slow.json"
         scaled = copy.deepcopy(report)
         for entry in scaled["cases"]:
-            for engine in ("object", "vector"):
-                for key in ("ms_per_step", "ms_per_step_per_1k_routers"):
-                    entry[engine][key] /= 1000.0
+            for key in ("ms_per_step", "ms_per_step_per_1k_routers"):
+                entry["vector"][key] /= 1000.0
         slowed.write_text(json.dumps(scaled))
         rc = cli_main(["bench", "--quick", "--steps", "20",
                        "--output", str(tmp_path / "rerun2.json"),
@@ -251,9 +248,8 @@ class TestBenchHistory:
         entry = json.loads(lines[0])
         assert entry["schema"] == bench.HISTORY_SCHEMA
         small = entry["cases"]["small"]
-        for engine in ("object", "vector"):
-            assert small[engine]["ms_per_step"] > 0
-            assert small[engine]["kernel_cum_ms"]
+        assert small["vector"]["ms_per_step"] > 0
+        assert small["vector"]["kernel_cum_ms"]
         # No wall-clock date: append order is the trajectory.
         assert "date" not in entry and "time" not in entry
 

@@ -1,11 +1,11 @@
-"""Both engines consume each router's private RNG in the same order.
+"""The engine consumes each router's private RNG in the oracle's order.
 
 Between events a router's generator feeds two consumers: the AR(1)
 ambient noise (every step, when the router has noise and is powered) and
 its PSU sensor (every SNMP poll, when powered and the platform reports
-power).  The object engine draws them one scalar at a time; the
-vectorized engine draws each router's normals for a block of steps in
-one call and applies both as column operations.  These tests pin the
+power).  The object oracle (``tests/object_oracle.py``) draws them one
+scalar at a time; the engine draws each router's normals for a block of
+steps in one call and applies both as column operations.  These tests pin the
 two to bitwise-equal readings and identical generator states, over all
 four §6.2 sensor quirks, noise on and off, both poll cadences, and the
 events that change who draws (power cycles redraw the sensor bias and
@@ -25,12 +25,12 @@ from repro.network import (
     Decommission,
     FleetConfig,
     FleetTrafficModel,
-    NetworkSimulation,
     PowerCycle,
     build_switch_like_network,
 )
 from repro.network.engine import DRAW_BLOCK_STEPS
 from repro.network.simulation import StepObserver
+from tests.object_oracle import SIMULATIONS
 
 # OFFSET, PSEUDO_CONSTANT, ACCURATE and ABSENT platforms, two or more each.
 CONFIG = FleetConfig(
@@ -57,7 +57,7 @@ class LastPowerProbe(StepObserver):
                               for host in self.collector.agents})
 
 
-def _build():
+def _build(engine: str = "vector"):
     network = build_switch_like_network(CONFIG,
                                         rng=np.random.default_rng(21))
     by_quirk: Dict[PsuSensorQuirk, List[str]] = {}
@@ -68,8 +68,8 @@ def _build():
     for hosts in by_quirk.values():
         network.routers[hosts[-1]].noise_std_w = 0.0
     traffic = FleetTrafficModel(network, rng=np.random.default_rng(22))
-    sim = NetworkSimulation(network, traffic,
-                            rng=np.random.default_rng(23))
+    sim = SIMULATIONS[engine](network, traffic,
+                              rng=np.random.default_rng(23))
     return network, sim, by_quirk
 
 
@@ -89,11 +89,11 @@ def _events(by_quirk):
 
 
 def _run(engine: str, snmp_period_s: float, with_events: bool):
-    network, sim, by_quirk = _build()
+    network, sim, by_quirk = _build(engine)
     probe = sim.add_observer(LastPowerProbe())
     events = _events(by_quirk) if with_events else []
     result = sim.run(duration_s=DURATION_S, step_s=300.0, events=events,
-                     snmp_period_s=snmp_period_s, engine=engine)
+                     snmp_period_s=snmp_period_s)
     return network, result, probe
 
 

@@ -1,14 +1,15 @@
-"""The vectorized engine must reproduce the object loop's results.
+"""The engine must reproduce the object oracle's results.
 
 The columnar engine (:mod:`repro.network.engine`) promises stream-exact
-RNG consumption and float-association-exact arithmetic, so two fleets
-built from identical seeds and run through the two engines must agree on
-every observable: total power and traffic, per-router SNMP power traces,
-interface counters (exact integer equality), Autopower series, sensor
-exports, and the post-run object state.  These tests run the comparison
-with and without a mid-run event mix that exercises every invalidation
-path (topology changes, power cycles, Autopower deployment, thermal
-events).
+RNG consumption, float-association-exact arithmetic and exact integer
+counters, so two fleets built from identical seeds and run through the
+engine and the per-object oracle (``tests/object_oracle.py``) must
+agree on every observable: total power and traffic, per-router SNMP
+power traces, interface counters (bitwise, at any magnitude up to and
+across the 2^64 wrap), Autopower series, sensor exports, and the
+post-run object state.  These tests run the comparison with and
+without a mid-run event mix that exercises every invalidation path
+(topology changes, power cycles, Autopower deployment, thermal events).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.hardware.psu import PSUInstance, make_psu_model
 from repro.network import (
     AddExternalInterface,
     Commission,
@@ -24,14 +26,15 @@ from repro.network import (
     FleetConfig,
     FleetTrafficModel,
     HeatWave,
-    NetworkSimulation,
     OsUpdate,
     PowerCycle,
     SetAdminState,
     UnplugModule,
     build_switch_like_network,
-    supports_vectorized,
 )
+from repro.network.engine import FleetState
+from tests.object_oracle import SIMULATIONS
+from tests.test_engine_incremental import preload_counters
 
 CONFIG = FleetConfig(
     model_counts=(("8201-32FH", 2), ("NCS-55A1-24H", 3),
@@ -40,10 +43,11 @@ CONFIG = FleetConfig(
     n_regional_pops=3, core_core_links=2)
 
 
-def _build():
+def _build(engine: str = "vector"):
     network = build_switch_like_network(CONFIG, rng=np.random.default_rng(7))
     traffic = FleetTrafficModel(network, rng=np.random.default_rng(8))
-    sim = NetworkSimulation(network, traffic, rng=np.random.default_rng(9))
+    sim = SIMULATIONS[engine](network, traffic,
+                              rng=np.random.default_rng(9))
     return network, sim
 
 
@@ -66,14 +70,20 @@ def _event_mix():
     ]
 
 
-def _run_both(duration_s, events=()):
-    net1, sim1 = _build()
-    r1 = sim1.run(duration_s=duration_s, step_s=300.0, events=list(events),
-                  engine="object")
-    net2, sim2 = _build()
-    r2 = sim2.run(duration_s=duration_s, step_s=300.0, events=list(events),
-                  engine="vector")
-    return (net1, r1), (net2, r2)
+def _run_both(duration_s, events=(), preload=None):
+    """Oracle run, then engine run, on identical fleets.
+
+    ``preload`` (a counter value) is written into every counter of
+    every port before the runs start.
+    """
+    runs = []
+    for engine in ("object", "vector"):
+        network, sim = _build(engine)
+        if preload is not None:
+            preload_counters(network, preload)
+        runs.append((network, sim.run(duration_s=duration_s, step_s=300.0,
+                                      events=list(events))))
+    return runs
 
 
 def _assert_results_match(net1, r1, net2, r2):
@@ -120,8 +130,8 @@ def _assert_results_match(net1, r1, net2, r2):
 
 class TestEngineEquivalence:
     def test_fleet_is_vectorizable(self):
-        network, _ = _build()
-        assert supports_vectorized(network)
+        network, sim = _build()
+        FleetState(network, sim.traffic)   # raises on a curve it can't collapse
 
     def test_plain_run_matches(self):
         (net1, r1), (net2, r2) = _run_both(duration_s=3600 * 4)
@@ -134,6 +144,22 @@ class TestEngineEquivalence:
         assert set(r1.autopower) == {autopower_host}
         _assert_results_match(net1, r1, net2, r2)
 
+    @pytest.mark.parametrize("preload", [2 ** 53 + 1, 2 ** 64 - 1000])
+    def test_counters_bitwise_at_large_magnitudes(self, preload):
+        """Past 2^53 a float64 counter drops the increment's low bits,
+        and near 2^64 it must wrap; both must match the oracle exactly."""
+        (net1, r1), (net2, r2) = _run_both(duration_s=3600,
+                                           preload=preload)
+        _assert_results_match(net1, r1, net2, r2)
+        wrapped = 0
+        for router in net2.routers.values():
+            for port in router.ports:
+                for value in (port.counters.rx_octets,
+                              port.counters.tx_packets):
+                    assert 0 <= value < 2 ** 64
+                    wrapped += value < preload
+        assert wrapped > 0 if preload > 2 ** 63 else wrapped == 0
+
 
 class TestEngineSelection:
     def test_auto_is_default_and_valid(self):
@@ -145,3 +171,83 @@ class TestEngineSelection:
         _, sim = _build()
         with pytest.raises(ValueError, match="engine"):
             sim.run(duration_s=1800, step_s=300.0, engine="warp")
+
+    def test_object_engine_is_no_longer_selectable(self):
+        _, sim = _build()
+        with pytest.raises(ValueError, match="engine"):
+            sim.run(duration_s=1800, step_s=300.0, engine="object")
+
+    def test_vector_is_accepted(self):
+        _, sim = _build()
+        result = sim.run(duration_s=1800, step_s=300.0, engine="vector")
+        assert len(result.total_power.values) == 6
+
+
+class TestCounterWrap:
+    """An SNMP counter trace across the 2^64 wrap, end to end."""
+
+    STEPS = 4
+
+    def _run(self, engine, host, preload=None):
+        network, sim = _build(engine)
+        for port in network.routers[host].ports:
+            if preload is not None and port.name in preload:
+                counters = port.counters
+                (counters.rx_octets, counters.tx_octets,
+                 counters.rx_packets, counters.tx_packets) = preload[port.name]
+        result = sim.run(duration_s=self.STEPS * 300.0, step_s=300.0,
+                         snmp_period_s=300.0, detailed_hosts=[host])
+        return network, result.snmp[host].interfaces
+
+    def test_snmp_trace_across_the_wrap(self):
+        host = sorted(_build()[0].routers)[0]
+        # Each counter starts one step plus half of the next step's
+        # increment below 2^64, so it wraps during the second step.
+        _, probe = self._run("vector", host)
+        preload = {}
+        for name, trace in probe.items():
+            starts = []
+            for series in (trace.rx_octets, trace.tx_octets,
+                           trace.rx_packets, trace.tx_packets):
+                first, second = (int(c) for c in series.counts[:2])
+                starts.append(2 ** 64 - first - (second - first) // 2 - 1)
+            preload[name] = tuple(starts)
+        traces = {engine: self._run(engine, host, preload)
+                  for engine in ("object", "vector")}
+        wrapped = 0
+        for engine, (network, interfaces) in traces.items():
+            for port in network.routers[host].ports:
+                counters = port.counters
+                assert max(counters.rx_octets, counters.tx_octets,
+                           counters.rx_packets,
+                           counters.tx_packets) < 2 ** 64, (engine, port)
+        oracle = traces["object"][1]
+        engine = traces["vector"][1]
+        assert set(oracle) == set(engine) == set(probe)
+        for name, trace in engine.items():
+            for field in ("rx_octets", "tx_octets", "rx_packets",
+                          "tx_packets"):
+                series = getattr(trace, field)
+                expected = getattr(oracle[name], field)
+                assert series.counts.tobytes() == \
+                    expected.counts.tobytes(), (name, field)
+                wrapped += int(np.any(np.diff(series.counts.astype(
+                    object)) < 0))
+                rates = series.rates()
+                assert not np.isnan(rates.values).any(), (name, field)
+                assert rates.values.tobytes() == \
+                    expected.rates().values.tobytes(), (name, field)
+        assert wrapped > 0
+
+
+class TestUnsupportedPsuCurve:
+    def test_offset_curve_psu_raises_naming_the_router(self):
+        network, sim = _build()
+        host = sorted(network.routers)[3]
+        group = network.routers[host].psu_group
+        # make_psu_model's rating curve is an OffsetCurve, which has no
+        # closed-form quadratic loss; the catalog routers never use it.
+        group.instances[0] = PSUInstance(
+            model=make_psu_model(group.instances[0].capacity_w))
+        with pytest.raises(ValueError, match=f"{host}: PSU curve OffsetCurve"):
+            sim.run(duration_s=1800, step_s=300.0)

@@ -3,15 +3,19 @@
 The columnar engine patches router columns in place at event boundaries
 (``FleetState.patch_routers``) instead of rebuilding the whole
 configuration, and promises the optimization is *unobservable*: with
-``INCREMENTAL_REFRESH`` forced off, the same seeded run must produce
-bitwise-identical traces.  These tests drive randomized seeded event
-schedules over a generated multi-tier fleet (:mod:`repro.network.synth`)
-and compare three runs per schedule -- object, vector-incremental, and
-vector-full-rebuild -- plus the generator's own determinism contract and
-the observability on/off byte-identity promise at the same scale.
+every event's dirty set withheld (:func:`full_rebuild`), the same seeded
+run must produce bitwise-identical traces.  These tests drive randomized
+seeded event schedules over a generated multi-tier fleet
+(:mod:`repro.network.synth`) and compare three runs per schedule --
+the object oracle (``tests/object_oracle.py``), incremental and full
+rebuild -- plus the generator's own determinism contract and the
+observability on/off byte-identity promise at the same scale.
 """
 
 from __future__ import annotations
+
+import contextlib
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -20,34 +24,55 @@ from repro.hardware.transceiver import compatible, transceiver
 from repro.network import (
     AddExternalInterface,
     DeployAutopower,
+    FleetEvent,
     FleetInventory,
     FleetTrafficModel,
     HeatWave,
-    NetworkSimulation,
     OsUpdate,
     PowerCycle,
     SetAdminState,
     UnplugModule,
     generate_synth_network,
-    supports_vectorized,
     synth_config,
 )
-from repro.network import engine as engine_mod
+from repro.network.engine import FleetState
 from repro.obs import metrics
+from tests.object_oracle import SIMULATIONS
 
 PRESET = "synth-200"
 STEP_S = 300.0
 N_STEPS = 40
 
 
-def _build(seed: int = 11):
+def _build(seed: int = 11, engine: str = "vector"):
     network = generate_synth_network(synth_config(PRESET),
                                      rng=np.random.default_rng(seed))
     traffic = FleetTrafficModel(network, rng=np.random.default_rng(seed + 1),
                                 n_demands=60)
-    sim = NetworkSimulation(network, traffic,
-                            rng=np.random.default_rng(seed + 2))
+    sim = SIMULATIONS[engine](network, traffic,
+                              rng=np.random.default_rng(seed + 2))
     return network, sim
+
+
+def _event_classes(cls=FleetEvent):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _event_classes(sub)
+
+
+@contextlib.contextmanager
+def full_rebuild():
+    """Every event declares no dirty set, so every event boundary
+    rebuilds the whole columnar configuration."""
+    saved = {cls: cls.__dict__["dirty_hosts"] for cls in _event_classes()
+             if "dirty_hosts" in cls.__dict__}
+    try:
+        for cls in saved:
+            cls.dirty_hosts = lambda self, simulation: None
+        yield
+    finally:
+        for cls, method in saved.items():
+            cls.dirty_hosts = method
 
 
 def _random_events(schedule_seed: int, hosts):
@@ -80,15 +105,24 @@ def _random_events(schedule_seed: int, hosts):
     return events
 
 
-def _run(engine: str, events, incremental: bool = True, seed: int = 11):
-    saved = engine_mod.INCREMENTAL_REFRESH
-    engine_mod.INCREMENTAL_REFRESH = incremental
-    try:
-        network, sim = _build(seed)
+def preload_counters(network, value: int) -> None:
+    """Start every counter of every port at ``value``."""
+    for router in network.routers.values():
+        for port in router.ports:
+            counters = port.counters
+            counters.rx_octets = counters.tx_octets = value
+            counters.rx_packets = counters.tx_packets = value
+
+
+def _run(engine: str, events, incremental: bool = True, seed: int = 11,
+         preload: Optional[int] = None, **run_kwargs):
+    """One seeded run; ``preload`` starts every counter at that value."""
+    with contextlib.nullcontext() if incremental else full_rebuild():
+        network, sim = _build(seed, engine)
+        if preload is not None:
+            preload_counters(network, preload)
         result = sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S,
-                         events=list(events), engine=engine)
-    finally:
-        engine_mod.INCREMENTAL_REFRESH = saved
+                         events=list(events), **run_kwargs)
     return network, result
 
 
@@ -114,7 +148,7 @@ def _assert_bitwise_identical(r1, r2):
 
 
 def _assert_matches_object(net_obj, r_obj, net_vec, r_vec):
-    """Vector vs object: power within 1e-9, counters exactly equal."""
+    """Engine vs oracle: power within 1e-9, counters bitwise equal."""
     np.testing.assert_allclose(r_obj.total_power.values,
                                r_vec.total_power.values, rtol=1e-9)
     np.testing.assert_allclose(r_obj.total_traffic_bps.values,
@@ -124,14 +158,13 @@ def _assert_matches_object(net_obj, r_obj, net_vec, r_vec):
         c2 = net_vec.routers[host].interface_counters()
         assert set(c1) == set(c2)
         for name in c1:
-            assert c1[name].rx_octets == c2[name].rx_octets, (host, name)
-            assert c1[name].tx_packets == c2[name].tx_packets, (host, name)
+            assert c1[name] == c2[name], (host, name)
 
 
 class TestSynthFleetEquivalence:
     def test_synth_fleet_is_vectorizable(self):
-        network, _ = _build()
-        assert supports_vectorized(network)
+        network, sim = _build()
+        FleetState(network, sim.traffic)   # raises on a curve it can't collapse
 
     @pytest.mark.parametrize("schedule_seed", [101, 202, 303])
     def test_random_schedule_incremental_full_and_object_agree(
@@ -143,6 +176,25 @@ class TestSynthFleetEquivalence:
         net_full, r_full = _run("vector", events, incremental=False)
         _assert_bitwise_identical(r_inc, r_full)
         _assert_matches_object(net_obj, r_obj, net_inc, r_inc)
+
+    @pytest.mark.parametrize("preload", [2 ** 53 + 1, 2 ** 64 - 10 ** 6])
+    def test_random_schedule_agrees_at_large_counters(self, preload):
+        hosts = sorted(_build()[0].routers)
+        events = _random_events(202, hosts)
+        net_obj, r_obj = _run("object", events, preload=preload)
+        net_inc, r_inc = _run("vector", events, preload=preload)
+        net_full, r_full = _run("vector", events, incremental=False,
+                                preload=preload)
+        _assert_bitwise_identical(r_inc, r_full)
+        _assert_matches_object(net_obj, r_obj, net_inc, r_inc)
+        _assert_matches_object(net_obj, r_obj, net_full, r_full)
+
+    def test_full_rebuild_hook_forces_full_rebuilds(self):
+        events = _random_events(101, sorted(_build()[0].routers))
+        with metrics.use_registry(metrics.MetricsRegistry()) as reg:
+            _run("vector", events, incremental=False)
+            partial = reg.get("netpower_sim_engine_partial_refresh_total")
+            assert partial is None or partial.default().value == 0
 
     def test_incremental_path_actually_ran(self):
         hosts = sorted(_build()[0].routers)

@@ -29,11 +29,12 @@ from repro.lab import ExperimentPlan, Orchestrator
 from repro.monitor import FleetMonitor, build_snapshot, snapshot_json
 from repro.monitor.schema import validate as validate_schema
 from repro.network import (DegradePsu, FleetConfig, FleetTrafficModel,
-                           NetworkSimulation, build_switch_like_network)
+                           build_switch_like_network)
 from repro.obs import metrics, tracing
 from repro.telemetry.snmp import SnmpCollector
 from repro.telemetry.sources import CounterRateModelSource
 from repro.validation.compare import compare_series, predict_from_trace
+from tests.object_oracle import SIMULATIONS
 
 SEED = 7
 STEP_S = 900.0
@@ -71,7 +72,7 @@ def models():
     }
 
 
-def _build_sim(seed=SEED):
+def _build_sim(seed=SEED, engine="vector"):
     network = build_switch_like_network(
         SMALL, rng=np.random.default_rng(seed))
     targets = {}
@@ -82,15 +83,15 @@ def _build_sim(seed=SEED):
     traffic = FleetTrafficModel(
         network, rng=np.random.default_rng(seed + 1),
         mean_external_utilisation=0.05, internal_utilisation_scale=6.0)
-    sim = NetworkSimulation(network, traffic,
-                            rng=np.random.default_rng(seed + 2))
+    sim = SIMULATIONS[engine](network, traffic,
+                              rng=np.random.default_rng(seed + 2))
     for hostname in targets.values():
         sim.deploy_autopower(hostname)
     return sim, targets
 
 
 def _run_monitored(models, engine, seed=SEED, inject=False):
-    sim, targets = _build_sim(seed)
+    sim, targets = _build_sim(seed, engine)
     monitor = FleetMonitor(models=models)
     sim.add_observer(monitor)
     events = []
@@ -99,8 +100,7 @@ def _run_monitored(models, engine, seed=SEED, inject=False):
             at_s=DURATION_S / 2, hostname=targets["8201-32FH"],
             psu_index=0, efficiency_delta=-0.05))
     result = sim.run(duration_s=DURATION_S, step_s=STEP_S, events=events,
-                     detailed_hosts=sorted(targets.values()),
-                     engine=engine)
+                     detailed_hosts=sorted(targets.values()))
     return monitor, result, targets
 
 
@@ -188,10 +188,9 @@ class TestInjectedPsuFault:
 class TestMonitorIsNonPerturbing:
     @pytest.mark.parametrize("engine", ["vector", "object"])
     def test_simulation_outputs_unchanged(self, models, engine):
-        sim_bare, targets = _build_sim()
+        sim_bare, targets = _build_sim(engine=engine)
         bare = sim_bare.run(duration_s=DURATION_S, step_s=STEP_S,
-                            detailed_hosts=sorted(targets.values()),
-                            engine=engine)
+                            detailed_hosts=sorted(targets.values()))
         monitored = _run_monitored(models, engine)[1]
         np.testing.assert_array_equal(bare.total_power.values,
                                       monitored.total_power.values)

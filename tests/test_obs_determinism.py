@@ -13,10 +13,10 @@ import numpy as np
 from repro.network import (
     FleetConfig,
     FleetTrafficModel,
-    NetworkSimulation,
     build_switch_like_network,
 )
 from repro.obs import metrics, tracing
+from tests.object_oracle import SIMULATIONS
 
 SMALL = FleetConfig(
     model_counts=(("8201-32FH", 1), ("NCS-55A1-24H", 2),
@@ -29,11 +29,11 @@ def _run(seed: int, engine: str, n_autopower: int = 1):
         SMALL, rng=np.random.default_rng(seed))
     traffic = FleetTrafficModel(
         network, rng=np.random.default_rng(seed + 1), n_demands=30)
-    sim = NetworkSimulation(network, traffic,
-                            rng=np.random.default_rng(seed + 2))
+    sim = SIMULATIONS[engine](network, traffic,
+                              rng=np.random.default_rng(seed + 2))
     for hostname in sorted(network.routers)[:n_autopower]:
         sim.deploy_autopower(hostname)
-    return sim.run(duration_s=40 * 300.0, step_s=300.0, engine=engine)
+    return sim.run(duration_s=40 * 300.0, step_s=300.0)
 
 
 class TestSimulationDeterminism:

@@ -204,15 +204,19 @@ class TestDeterminism:
         assert {k: v["calls"] for k, v in multi_kernels.items()} == \
             {k: v["calls"] for k, v in inline_kernels.items()}
 
-    def test_simulation_hot_paths_record_expected_kernels(self):
+    def test_simulation_hot_paths_record_expected_kernels(self,
+                                                          monkeypatch):
         from repro.sweep import JobSpec, run_job
+        from tests.object_oracle import SIMULATIONS
 
         spec = JobSpec("tiny", "busy", "none", "balanced",
                        2 * 3600.0, 900.0)
         kernels = {}
         for engine in ("vector", "object"):
+            monkeypatch.setattr("repro.sweep.runner.NetworkSimulation",
+                                SIMULATIONS[engine])
             with profile.use_profiler(Profiler()) as prof:
-                run_job(spec, root_seed=7, engine=engine)
+                run_job(spec, root_seed=7)
             kernels[engine] = set(prof.to_dict()["kernels"])
         for engine, seen in kernels.items():
             assert {"kernel.apply_traffic", "kernel.advance_counters",
@@ -224,8 +228,8 @@ class TestDeterminism:
 
         spec = JobSpec("tiny", "quiet", "hypnos-50", "balanced",
                        2 * 3600.0, 900.0)
-        plain, _ = run_job(spec, root_seed=7, engine="vector")
+        plain, _ = run_job(spec, root_seed=7)
         with profile.use_profiler(Profiler()):
-            profiled, _ = run_job(spec, root_seed=7, engine="vector")
+            profiled, _ = run_job(spec, root_seed=7)
         assert json.dumps(profiled, sort_keys=True) == \
             json.dumps(plain, sort_keys=True)

@@ -396,6 +396,33 @@ def test_rejected_request_says_close_then_closes(request_head, status,
     run_with_server(scenario)
 
 
+def test_truncated_body_times_out_with_408_then_closes(monkeypatch):
+    monkeypatch.setattr("repro.serve.app.BODY_TIMEOUT_S", 0.2)
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        try:
+            # Seven bytes short of the declared body, then silence.
+            writer.write(b"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 10\r\n\r\n{\"a")
+            await writer.drain()
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                          timeout=10)
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0] == "HTTP/1.1 408 Request Timeout"
+            assert "Connection: close" in lines
+            length = int(next(line.split(":")[1] for line in lines
+                              if line.startswith("Content-Length:")))
+            assert await reader.readexactly(length) == \
+                error_body("body timeout")
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+        finally:
+            writer.close()
+
+    run_with_server(scenario)
+
+
 def test_junk_paths_keep_request_metric_series_bounded():
     n_junk = 2000
 

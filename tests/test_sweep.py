@@ -1,7 +1,7 @@
 """The sweep subsystem: matrix expansion, determinism, sharding, resume.
 
 The headline contract under test: a sweep report is a pure function of
-``(matrix, root_seed, engine)`` -- worker count, sharding, resume
+``(matrix, root_seed)`` -- worker count, sharding, resume
 boundaries, and completion order must never change a byte.
 """
 
@@ -21,6 +21,7 @@ from repro.sweep import (
     run_sweep,
     shard_jobs,
 )
+from tests.object_oracle import OracleSimulation
 
 #: Small enough to keep the multiprocess tests quick (8 steps per job).
 FAST = ScenarioMatrix(
@@ -126,11 +127,13 @@ class TestDeterminism:
             run_sweep(FAST, root_seed=8, workers=1, resume=True,
                       output=output)
 
-    def test_run_job_engines_agree_on_aggregates(self):
+    def test_run_job_engines_agree_on_aggregates(self, monkeypatch):
         spec = JobSpec("tiny", "quiet", "hypnos-50", "balanced",
                        2 * 3600.0, 900.0)
-        vector, _ = run_job(spec, root_seed=7, engine="vector")
-        objekt, _ = run_job(spec, root_seed=7, engine="object")
+        vector, _ = run_job(spec, root_seed=7)
+        monkeypatch.setattr("repro.sweep.runner.NetworkSimulation",
+                            OracleSimulation)
+        objekt, _ = run_job(spec, root_seed=7)
         assert vector["run"]["engine"] == "vector"
         assert objekt["run"]["engine"] == "object"
         assert vector["aggregates"]["mean_power_w"] == pytest.approx(
@@ -140,7 +143,7 @@ class TestDeterminism:
     def test_topo_xl_preset_runs_a_generated_fleet(self):
         jobs = expand(MATRIX_PRESETS["topo-xl"])
         assert [j.topology for j in jobs] == ["synth-1k"]
-        entry, bench_row = run_job(jobs[0], root_seed=7, engine="vector")
+        entry, bench_row = run_job(jobs[0], root_seed=7)
         assert entry["fleet"]["routers"] >= 1000
         assert entry["aggregates"]["mean_power_w"] > 0
         assert bench_row["vector"]["wall_s"] > 0
@@ -153,7 +156,7 @@ class TestBenchRows:
         report = json.loads(output.read_text())
         assert "wall_s" not in json.dumps(report)
         rows = json.loads(default_bench_output(output).read_text())
-        assert rows["schema"] == "repro.bench.simulation/v6"
+        assert rows["schema"] == "repro.bench.simulation/v7"
         assert len(rows["cases"]) == FAST.n_jobs
         by_name = {case["name"]: case for case in rows["cases"]}
         for job in report["jobs"]:
