@@ -2,10 +2,15 @@
 
 Every port in the fleet is flattened into structure-of-arrays columns --
 static power, ``e_bit``/``e_pkt``, offered rx/tx rates, link-up masks,
-router ownership indices -- so one simulation step is a few array
+router ownership indices -- so a simulation step is a few array
 operations (scatter the link rates, accumulate counters, segment-sum
 power per router) instead of O(ports) Python calls through the
-:class:`~repro.hardware.router.VirtualRouter` objects.
+:class:`~repro.hardware.router.VirtualRouter` objects.  Between event
+boundaries the kernels evaluate a block of steps per call, as ``(steps,
+columns)`` matrices sized by :data:`BLOCK_ELEMENTS`: narrow fleets,
+where NumPy call overhead rather than arithmetic sets the cost, step
+dozens of steps per call, wide fleets one (docs/PERFORMANCE.md, "Block
+stepping").
 
 Contracts that keep the columns exactly equivalent to stepping the
 objects one at a time (the per-object loop survives as the reference
@@ -25,12 +30,16 @@ oracle in ``tests/object_oracle.py``):
   offered traffic, noise states and sensor plateaus are written back,
   so post-run object inspection sees the run's final state.
 * **Identical RNG streams.**  NumPy ``Generator`` array draws consume the
-  underlying bit stream exactly like the equivalent sequence of scalar
-  draws, so vectorised demand noise reproduces the scalar values bit
-  for bit.  Per-router draws (AR(1) ambient noise, PSU sensor noise)
-  come from per-router generators: each router's standard normals for a
-  block of steps are drawn in one call, laid out in the order a scalar
-  step consumes them, and used one column per step (see
+  underlying bit stream in C order, exactly like the equivalent
+  sequence of scalar draws.  The traffic model's demand noise for a
+  block of steps is one ``lognormal`` call whose ``(steps, externals +
+  1)`` sigma matrix lays each step's draws out in scalar order
+  (externals, then the internal factor), so every value and the
+  stream's final state match one scalar step after the other.
+  Per-router draws (AR(1) ambient noise, PSU sensor noise) come from
+  per-router generators: each router's standard normals for a block of
+  steps are drawn in one call, laid out in the order a scalar step
+  consumes them, and used one row per step (see
   :meth:`FleetState.draw_block` and docs/PERFORMANCE.md, "Per-router
   draw order").
 * **Identical arithmetic where it matters.**  Elementwise array formulas
@@ -38,6 +47,8 @@ oracle in ``tests/object_oracle.py``):
   DC-inversion interpolation reuses each router's own
   ``_inversion_grid``.  Remaining differences (pairwise vs. sequential
   summation, fused constant factors) stay within ~1e-12 relative error.
+  The block length never changes a bit: a block's per-router sums use
+  one ``np.bincount`` bucket per (step, router), filled in port order.
 * **Exact counters.**  The four interface counters are ``uint64``
   columns that gain the whole part of each step's increment and wrap at
   2^64 natively -- the integer equation of
@@ -78,8 +89,17 @@ _ABSENT = _QUIRKS.index(PsuSensorQuirk.ABSENT)
 FLEET_PACKET_BYTES = 700.0
 
 #: Most steps one block of pre-drawn per-router normals covers (at most
-#: two draws per router per step: ambient noise and the SNMP poll).
+#: two draws per router per step: ambient noise and the SNMP poll), and
+#: so the most steps one block of traffic, counters, noise and power
+#: covers.
 DRAW_BLOCK_STEPS = 64
+
+#: Element budget of one block's ``(steps, active ports)`` matrices:
+#: the paper's 107-router fleet (914 active ports) steps 35 steps per
+#: kernel call, fleets with over 2^15 active ports one step at a time.
+#: Twice the budget saves roughly another 10 % of run time there, at
+#: ~4 % more peak RSS over a simulated month (allocator growth).
+BLOCK_ELEMENTS = 2 ** 15
 
 M_REFRESH = metrics.counter(
     "netpower_sim_engine_refresh_total",
@@ -123,6 +143,34 @@ def _collapse_curve(curve, hostname: str) -> Tuple[Tuple[float, ...],
             f"{type(curve).__name__}) does not collapse to a scaled "
             f"quadratic loss curve")
     return tuple(reversed(scales)), inner.a, inner.b, inner.c
+
+
+class _Block:
+    """The rows of one block of consecutive steps (see
+    :meth:`FleetState.plan_traffic`).
+
+    ``rx``/``tx`` hold each step's offered traffic on the active ports
+    and ``ingress`` its external ingress; ``counters`` (rx octets, rx
+    packets, tx octets, tx packets) and ``noise`` hold each step's
+    counters and AR(1) noise once advanced (``None``: unchanged by the
+    block); ``pps`` holds ``rx + tx`` and the total packet rate once
+    :meth:`FleetState.advance_counters` has computed them for
+    :meth:`FleetState.wall_power`; ``next`` is the row
+    :meth:`FleetState.apply_traffic` makes current next.
+    """
+
+    __slots__ = ("rx", "tx", "times", "ingress", "counters", "noise",
+                 "pps", "next")
+
+    def __init__(self, rx: np.ndarray, tx: np.ndarray):
+        self.rx = rx
+        self.tx = tx
+        self.times: Optional[np.ndarray] = None
+        self.ingress: Optional[np.ndarray] = None
+        self.counters: Optional[Tuple[np.ndarray, ...]] = None
+        self.noise: Optional[np.ndarray] = None
+        self.pps: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.next = len(rx)
 
 
 class FleetState:
@@ -339,24 +387,24 @@ class FleetState:
 
         Called at the end of every :meth:`refresh` and
         :meth:`patch_routers`, i.e. at configuration boundaries only.
-        The per-step kernels (:meth:`apply_traffic`,
+        The block kernels (:meth:`plan_traffic`,
         :meth:`advance_counters`, :meth:`wall_power`) then run entirely
-        on these length-``len(_active_ports)`` arrays: configuration
-        columns are gathered once here instead of once per step, and
-        the dynamic state (offered traffic, counters) lives compactly
-        between boundaries, spilled back by :meth:`_spill_traffic` /
+        on length-``len(_active_ports)`` rows: configuration columns are
+        gathered once here instead of once per block, and the dynamic
+        state (offered traffic, counters) lives compactly between
+        boundaries, spilled back by :meth:`_spill_traffic` /
         :meth:`_spill_counters` before any full-width read.  Every
         cached value is a pure gather of the full-width columns, so the
-        step arithmetic is element-for-element identical to the
-        full-width formulation.
+        block arithmetic is element-for-element identical to the
+        full-width formulation.  The current block collapses to its
+        current row.
         """
         self._spill_traffic()
         self._spill_counters()
         ap = self._active_ports
         self._cache_ap = ap
         # Configuration gathers (invalidated by refresh/patch only).
-        self._ap_link_up = self.link_up[ap]
-        self._ap_powered = self.port_powered[ap]
+        self._ap_up_powered = self.link_up[ap] & self.port_powered[ap]
         self._ap_dyn_ok = self.dyn_ok[ap]
         self._ap_p_offset = self.p_offset_w[ap]
         self._ap_e_bit = self.e_bit_j[ap]
@@ -375,14 +423,21 @@ class FleetState:
         self._ap_c_tx_oct = self.c_tx_oct[ap]
         self._ap_c_rx_pkt = self.c_rx_pkt[ap]
         self._ap_c_tx_pkt = self.c_tx_pkt[ap]
-        # External-link admin state, hoisted out of apply_traffic; when
-        # every external link is up the per-step masking is the
-        # identity and is skipped wholesale.
+        # External-link admin state, hoisted out of plan_traffic; when
+        # every external link is up the masking is the identity and is
+        # skipped wholesale.
         self._ext_link_up = self.link_up[self.ext_a]
         self._ext_all_up = bool(self._ext_link_up.all())
         self._ext_any_new = bool(self.ext_is_new.any())
-        self._step_cache: Optional[Tuple[np.ndarray, np.ndarray,
-                                         np.ndarray]] = None
+        # Block length and the segment-sum keys of a full block: row r
+        # of a block sums into buckets r * n_routers + router, and a
+        # k-row block uses the leading k rows' keys.
+        self.block_steps = max(1, min(DRAW_BLOCK_STEPS,
+                                      BLOCK_ELEMENTS // max(1, len(ap))))
+        offsets = np.arange(self.block_steps)[:, None] * self.n_routers
+        self._port_keys = (offsets + self._active_router).ravel()
+        self._psu_keys = (offsets + self.psu_router).ravel()
+        self._block = _Block(self._ap_rx[None], self._ap_tx[None])
 
     # -- configuration rebuild ------------------------------------------------------
 
@@ -568,13 +623,15 @@ class FleetState:
     def _refresh_links(self, new_external_link_ids) -> None:
         """Columnise the link list.
 
-        ``scatter_ports``/``scatter_src`` replay a per-link walk that
-        offers each link's rate to its ports as one fancy assignment:
+        ``scatter_ports`` and the rate row of each entry replay a
+        per-link walk that offers each link's rate to its ports:
         entries are emitted in link-list order (both ends of an internal
         link, then the local end of an external link), so a port
         referenced by two links -- possible when a freed port is
         re-provisioned while a stale link lingers in the list -- keeps
-        the last link's rate.
+        the last link's rate.  ``_scatter_pos``/``_scatter_rate`` keep
+        only that last entry per port, so one fancy assignment writes
+        every row of a block.
         """
         int_rows: List[Tuple[int, int, float, int]] = []   # a, b, cap95, id
         ext_rows: List[Tuple[int, float, bool]] = []       # a, cap, is_new
@@ -607,7 +664,7 @@ class FleetState:
         self.scatter_ports = np.array(scatter_ports, dtype=np.int64)
         src = np.array(scatter_src, dtype=np.int64)
         # Map external rows (encoded as ~row) past the internal block.
-        self.scatter_src = np.where(src >= 0, src, len(int_rows) + ~src)
+        src = np.where(src >= 0, src, len(int_rows) + ~src)
         # Base internal loads aligned to the internal-link rows.
         base_loads = self.traffic._base_internal_loads
         self.int_loads = np.array(
@@ -638,12 +695,12 @@ class FleetState:
         # unobservable.
         self.packet_bytes[self.scatter_ports] = FLEET_PACKET_BYTES
         # Scatter targets as positions within the active-port set (the
-        # active set contains every scatter port by construction).
-        self._scatter_pos = np.searchsorted(
-            self._active_ports, self.scatter_ports)
-        # Step scratch buffers, reused every step.
-        self._rates_buf = np.empty(len(self.int_a) + len(self.ext_a))
-        self._values_buf = np.empty(len(self.scatter_ports))
+        # active set contains every scatter port by construction), each
+        # fed by its last entry in link-list order.
+        pos = np.searchsorted(self._active_ports, self.scatter_ports)
+        last = len(pos) - 1 - np.unique(pos[::-1], return_index=True)[1]
+        self._scatter_pos = pos[last]
+        self._scatter_rate = src[last]
 
     def _refresh_views(self, view_hosts: Sequence[str]) -> None:
         """Ports whose objects must track columnar traffic every step.
@@ -753,7 +810,9 @@ class FleetState:
         ``bytes_total`` sums every NumPy column plus the shared
         per-model inversion grids; ``bytes_per_router`` divides by fleet
         size -- the figure the bench report tracks so the columnar
-        footprint provably stays linear in fleet size.
+        footprint provably stays linear in fleet size.  The current
+        block's matrices are scratch bounded by :data:`BLOCK_ELEMENTS`
+        per matrix and are not counted.
         """
         total = 0
         for name in sorted(vars(self)):
@@ -765,75 +824,133 @@ class FleetState:
         return {"bytes_total": float(total),
                 "bytes_per_router": total / max(1, self.n_routers)}
 
-    # -- one simulation step, vectorized ----------------------------------------------
+    # -- a block of simulation steps, vectorized ---------------------------------------
 
-    def apply_traffic(self, t_s: float) -> float:
-        """Offer this step's demand to every linked port.
+    def plan_traffic(self, times_s: np.ndarray) -> None:
+        """Plan the offered traffic of a block of steps starting at
+        ``times_s``.
 
-        Consumes the traffic model's RNG exactly like the scalar
-        ``external_rates_at`` / ``internal_rates_at`` calls (externals
-        first, then the internal factor) and returns total external
-        ingress bps.
+        Row ``r`` of the block holds every active port's rates after
+        step ``r``'s demand is offered; :meth:`apply_traffic` makes the
+        rows current one step at a time.  The block consumes the
+        traffic model's RNG exactly like one scalar
+        ``external_rates_at`` / ``internal_rates_at`` pair per step
+        (:meth:`~repro.network.traffic.FleetTrafficModel.rates_block`).
+        The block's counters and noise start unchanged until
+        :meth:`advance_counters` / :meth:`advance_noise` advance them.
         """
-        _, demand_rates = self.traffic.external_rates_vector(t_s)
-        mult, noise = self.traffic.internal_rate_factors(t_s)
-        rates = self._rates_buf
+        if len(self._block.rx) > 1:
+            # The current rows outlive their block: copies let the
+            # previous block's matrices go before this block's are built.
+            self._ap_rx = self._ap_rx.copy()
+            self._ap_tx = self._ap_tx.copy()
+            self._ap_c_rx_oct = self._ap_c_rx_oct.copy()
+            self._ap_c_tx_oct = self._ap_c_tx_oct.copy()
+            self._ap_c_rx_pkt = self._ap_c_rx_pkt.copy()
+            self._ap_c_tx_pkt = self._ap_c_tx_pkt.copy()
+            self.noise = self.noise.copy()
+        demand, mult, noise = self.traffic.rates_block(times_s)
+        k = len(times_s)
         n_int = len(self.int_a)
-        # External rows are assembled in place in the tail of the shared
-        # rates buffer; the masked assignments write exactly the floats
-        # the equivalent np.where chains would select.
-        ext_rates = rates[n_int:]
+        # External rows sit past the internal ones; the masked
+        # assignments write exactly the floats the equivalent np.where
+        # chains would select.
+        rates = np.empty((k, n_int + len(self.ext_a)))
+        ext_rates = rates[:, n_int:]
         ext_rates.fill(0.0)
         if len(self.ext_demand_rows):
-            ext_rates[self.ext_demand_rows] = demand_rates
+            ext_rates[:, self.ext_demand_rows] = demand
         if self._ext_any_new:
             seed = (ext_rates == 0.0) & self.ext_is_new
-            ext_rates[seed] = (0.02 * self.ext_cap)[seed]
+            ext_rates[seed] = np.broadcast_to(0.02 * self.ext_cap,
+                                              ext_rates.shape)[seed]
         if not self._ext_all_up:
-            ext_rates[~self._ext_link_up] = 0.0
-        int_rates = rates[:n_int]
-        np.multiply(self.int_loads, mult, out=int_rates)
-        np.multiply(int_rates, noise, out=int_rates)
+            ext_rates[:, ~self._ext_link_up] = 0.0
+        int_rates = rates[:, :n_int]
+        np.multiply(self.int_loads, mult[:, None], out=int_rates)
+        np.multiply(int_rates, noise[:, None], out=int_rates)
         np.minimum(int_rates, self.int_cap95, out=int_rates)
-        values = np.take(rates, self.scatter_src, out=self._values_buf)
-        self._ap_rx[self._scatter_pos] = values
-        self._ap_tx[self._scatter_pos] = values
+        values = rates[:, self._scatter_rate]
+        rx = np.repeat(self._ap_rx[None], k, axis=0)
+        tx = np.repeat(self._ap_tx[None], k, axis=0)
+        rx[:, self._scatter_pos] = values
+        tx[:, self._scatter_pos] = values
+        block = self._block = _Block(rx, tx)
+        block.times = times_s
+        block.ingress = ext_rates.sum(axis=1)
+        block.next = 0
+
+    def apply_traffic(self, t_s: float) -> float:
+        """Offer the demand of the step starting at ``t_s``; returns the
+        total external ingress bps.
+
+        Makes the next planned row of the block current -- its offered
+        traffic and, where the block advanced them, its counters and
+        noise.  Without a planned row left, plans a one-step block at
+        ``t_s`` first (:meth:`plan_traffic`).
+        """
+        block = self._block
+        if block.next == len(block.rx):
+            self.plan_traffic(np.array([t_s]))
+            block = self._block
+        r = block.next
+        if block.times[r] != t_s:
+            raise ValueError(
+                f"step at t={t_s} s does not match the planned block "
+                f"row at t={block.times[r]} s")
+        block.next = r + 1
+        self._ap_rx = block.rx[r]
+        self._ap_tx = block.tx[r]
         self._traffic_dirty = True
-        return float(ext_rates.sum())
+        if block.counters is not None:
+            rx_oct, rx_pkt, tx_oct, tx_pkt = block.counters
+            self._ap_c_rx_oct = rx_oct[r]
+            self._ap_c_tx_oct = tx_oct[r]
+            self._ap_c_rx_pkt = rx_pkt[r]
+            self._ap_c_tx_pkt = tx_pkt[r]
+            self._counters_dirty = True
+        if block.noise is not None:
+            self.noise = block.noise[r]
+        return float(block.ingress[r])
 
     def advance_counters(self, dt_s: float) -> None:
-        """Accumulate counters for one step (mirrors ``Port.advance``).
+        """Accumulate counters over every step of the block (mirrors
+        ``Port.advance``).
 
-        Each ``uint64`` counter gains the whole part of its increment
-        and wraps at 2^64 -- exactly :meth:`Counters.add
-        <repro.hardware.router.Counters.add>`.  Only the active ports
-        (see :meth:`_refresh_links`) are touched: every other port
-        carries zero traffic for the whole configuration, so its
-        increment is zero.
+        Each ``uint64`` counter gains the whole part of each step's
+        increment and wraps at 2^64 -- exactly :meth:`Counters.add
+        <repro.hardware.router.Counters.add>`: the increments are cast
+        first and added along the steps one row after the other, and
+        uint64 addition modulo 2^64 is exact, so every row is.  (A row
+        loop, because ``np.cumsum`` along the first axis runs one inner
+        loop per column.)  Only the active ports (see
+        :meth:`_refresh_links`) are touched: every other port carries
+        zero traffic for the whole configuration, so its increment is
+        zero.
         """
-        rx = self._ap_rx
-        tx = self._ap_tx
-        rx_tx = rx + tx
-        active = (self._ap_link_up & self._ap_powered & (rx_tx > 0.0))
-        denom = self._ap_denom
-        rx_pps = rx / denom
-        tx_pps = tx / denom
-        frame = self._ap_frame
-        zero = 0.0
-        rx_dt = rx_pps * dt_s
-        tx_dt = tx_pps * dt_s
-        # The cast truncates the non-negative increments like int(), and
-        # uint64 addition wraps modulo 2^64.
-        self._ap_c_rx_oct += np.where(active, rx_dt * frame,
-                                      zero).astype(np.uint64)
-        self._ap_c_tx_oct += np.where(active, tx_dt * frame,
-                                      zero).astype(np.uint64)
-        self._ap_c_rx_pkt += np.where(active, rx_dt, zero).astype(np.uint64)
-        self._ap_c_tx_pkt += np.where(active, tx_dt, zero).astype(np.uint64)
-        self._counters_dirty = True
-        # Hand the shared intermediates to wall_power (always the next
-        # call in the step loop); consumed once, never stale.
-        self._step_cache = (rx_tx, rx_pps, tx_pps)
+        block = self._block
+        rx_tx = block.rx + block.tx
+        idle = ~(self._ap_up_powered & (rx_tx > 0.0))
+        rx_pps = block.rx / self._ap_denom
+        tx_pps = block.tx / self._ap_denom
+        # Shared with wall_power, which evaluates the same block.
+        block.pps = (rx_tx, rx_pps + tx_pps)
+        counters = []
+        for pps, oct_start, pkt_start in (
+                (rx_pps, self._ap_c_rx_oct, self._ap_c_rx_pkt),
+                (tx_pps, self._ap_c_tx_oct, self._ap_c_tx_pkt)):
+            packets = pps * dt_s
+            np.copyto(packets, 0.0, where=idle)
+            for inc, start in ((packets * self._ap_frame, oct_start),
+                               (packets, pkt_start)):
+                # The cast truncates the non-negative increments like
+                # int().
+                rows = inc.astype(np.uint64)
+                rows[0] += start
+                for r in range(1, len(rows)):
+                    rows[r] += rows[r - 1]
+                counters.append(rows)
+        block.counters = tuple(counters)
 
     def draw_block(self, polled: np.ndarray) -> None:
         """Pre-draw every router's standard normals for the next steps.
@@ -842,10 +959,10 @@ class FleetState:
         drawing router makes one ``rng.standard_normal`` call, laid out
         in the order a scalar step consumes them (per step: ambient
         draw, then sensor draw) and split into a ``(steps, routers)``
-        ambient and a ``(polls, routers)`` sensor matrix, read a row per
-        step.  The
-        caller ends blocks at event boundaries, where other draws may
-        happen (docs/PERFORMANCE.md, "Per-router draw order").
+        ambient and a ``(polls, routers)`` sensor matrix, read in
+        order by :meth:`advance_noise` and :meth:`psu_reported_power`.
+        The caller ends blocks at event boundaries, where other draws
+        may happen (docs/PERFORMANCE.md, "Per-router draw order").
 
         Powered routers draw once per step if their ambient noise is on
         and once per poll if their PSU reports power; dark routers draw
@@ -883,22 +1000,32 @@ class FleetState:
         self._sensor_next = 0
 
     def advance_noise(self, rho: float, innovation_std: np.ndarray) -> None:
-        """One AR(1) noise update of every powered router with noise on,
-        from the next row of the draw block (see :meth:`draw_block`)."""
-        z = self._ambient_z[self._ambient_next]
-        self._ambient_next += 1
-        np.copyto(self.noise,
-                  ambient_noise_step(self.noise, rho, innovation_std, z),
-                  where=self._noise_on)
+        """AR(1) noise rows for every step of the block: each powered
+        router with noise on updates from the previous row and the next
+        row of the draw block (see :meth:`draw_block`)."""
+        block = self._block
+        k = len(block.rx)
+        z = self._ambient_z[self._ambient_next:self._ambient_next + k]
+        self._ambient_next += k
+        noise = np.empty((k, self.n_routers))
+        previous = self.noise
+        for r in range(k):
+            noise[r] = np.where(
+                self._noise_on,
+                ambient_noise_step(previous, rho, innovation_std, z[r]),
+                previous)
+            previous = noise[r]
+        block.noise = noise
 
     def psu_reported_power(self, wall: np.ndarray) -> np.ndarray:
         """Every router's PSU-reported input power for one SNMP poll.
 
-        ``wall`` is this step's :meth:`wall_power`.  Routers are
+        ``wall`` is this step's row of :meth:`wall_power`.  Routers are
         evaluated one quirk group at a time through
         :func:`~repro.hardware.router.psu_sensor_power` with the next
         row of the draw block; dark routers and ABSENT platforms report
-        NaN.  PSEUDO_CONSTANT plateaus advance in ``sensor_basis_w``.
+        NaN.  PSEUDO_CONSTANT plateaus advance in ``sensor_basis_w``,
+        one poll after the other.
         """
         z = self._sensor_z[self._sensor_next]
         self._sensor_next += 1
@@ -912,77 +1039,81 @@ class FleetState:
 
     def wall_power(self,
                    components: Optional[np.ndarray] = None) -> np.ndarray:
-        """Instantaneous wall power of every router, including noise.
+        """Wall power of every router at every row of the block,
+        including noise: a ``(steps, n_routers)`` matrix.
 
-        The dynamic term is evaluated over the active ports only (see
-        :meth:`advance_counters`); inactive ports contribute exactly 0.0
-        in the full-width formula, and adding 0.0 never changes a
-        partial sum, so the per-router segment sums are bit-identical.
+        Between blocks (after construction, :meth:`refresh` or
+        :meth:`patch_routers`) the block is the current state alone, so
+        the result has one row.  The dynamic term is evaluated over the
+        active ports only (see :meth:`advance_counters`); inactive ports
+        contribute exactly 0.0 in the full-width formula, and adding 0.0
+        never changes a partial sum.  Row ``r``'s ports sum into
+        ``np.bincount`` buckets ``r * n_routers + router`` in port
+        order, so every per-router segment sum is the same chain of
+        additions as a one-row sum.
 
-        With ``components`` (a ``(n_routers, len(COMPONENTS))`` buffer,
-        see :mod:`repro.obs.ledger`), the attribution split is written
-        into it without changing the returned power by a single bit: the
-        dynamic term decomposes as ``np.where(mask, (a + b) + c, 0) ==
-        (np.where(mask, a, 0) + np.where(mask, b, 0)) + np.where(mask,
-        c, 0)`` elementwise, so the masked total is the exact float the
-        fused expression produces.
+        With ``components`` (a ``(steps, n_routers, len(COMPONENTS))``
+        buffer, see :mod:`repro.obs.ledger`), the attribution split is
+        written into it without changing the returned power by a single
+        bit: the dynamic term decomposes as ``np.where(mask, (a + b) +
+        c, 0) == (np.where(mask, a, 0) + np.where(mask, b, 0)) +
+        np.where(mask, c, 0)`` elementwise, so the masked total is the
+        exact float the fused expression produces.
         """
-        rx = self._ap_rx
-        tx = self._ap_tx
-        cache = self._step_cache
-        self._step_cache = None
-        if cache is None:
-            denom = self._ap_denom
+        block = self._block
+        rx = block.rx
+        tx = block.tx
+        noise = self.noise if block.noise is None else block.noise
+        k = len(rx)
+        keys = self._port_keys[:k * len(self._cache_ap)]
+        n_rows = k * self.n_routers
+
+        def per_router(values: np.ndarray) -> np.ndarray:
+            return np.bincount(keys, weights=values.ravel(),
+                               minlength=n_rows).reshape(k, self.n_routers)
+
+        if block.pps is None:
             rx_tx = rx + tx
-            total_pps = rx / denom + tx / denom
+            total_pps = rx / self._ap_denom + tx / self._ap_denom
         else:
-            rx_tx, rx_pps, tx_pps = cache
-            total_pps = rx_pps + tx_pps
+            rx_tx, total_pps = block.pps
         mask = self._ap_dyn_ok & carrying_traffic_mask(rx, tx)
+        bit = self._ap_e_bit * rx_tx
+        pkt = self._ap_e_pkt * total_pps
         if components is None:
-            dyn = np.where(
-                mask,
-                (self._ap_p_offset + self._ap_e_bit * rx_tx)
-                + self._ap_e_pkt * total_pps,
-                0.0)
+            dyn_sum = per_router(np.where(
+                mask, (self._ap_p_offset + bit) + pkt, 0.0))
         else:
             off = np.where(mask, self._ap_p_offset, 0.0)
-            bit = np.where(mask, self._ap_e_bit * rx_tx, 0.0)
-            pkt = np.where(mask, self._ap_e_pkt * total_pps, 0.0)
-            dyn = (off + bit) + pkt
-        dyn_sum = np.bincount(self._active_router, weights=dyn,
-                              minlength=self.n_routers)
+            bit = np.where(mask, bit, 0.0)
+            pkt = np.where(mask, pkt, 0.0)
+            dyn_sum = per_router((off + bit) + pkt)
+            dyn_parts = [per_router(part) for part in (off, bit, pkt)]
         wall_ref = (self.base_fixed + self.static_sum) + dyn_sum
         dc = self._dc_from_wall_referred(wall_ref)
-        device = np.maximum(0.0, dc + self.noise)
+        device = np.maximum(0.0, dc + noise)
         wall = self._psu_wall(device)
-        result = np.where(self.powered, wall, 0.0)
+        powered = self.powered
+        result = np.where(powered, wall, 0.0)
         if components is not None:
             # Column order matches repro.obs.ledger.COMPONENTS.  Every
             # component is zeroed where the router is unpowered, like
             # the returned wall power.
-            powered = self.powered
-            components[:, 0] = np.where(powered, self.base_fixed, 0.0)
-            components[:, 1] = np.where(powered, self.trx_in_sum, 0.0)
-            components[:, 2] = np.where(powered, self.port_sum, 0.0)
-            components[:, 3] = np.where(powered, self.trx_up_sum, 0.0)
-            components[:, 4] = np.where(powered, np.bincount(
-                self._active_router, weights=off,
-                minlength=self.n_routers), 0.0)
-            components[:, 5] = np.where(powered, np.bincount(
-                self._active_router, weights=bit,
-                minlength=self.n_routers), 0.0)
-            components[:, 6] = np.where(powered, np.bincount(
-                self._active_router, weights=pkt,
-                minlength=self.n_routers), 0.0)
-            components[:, 7] = np.where(powered, dc - wall_ref, 0.0)
-            components[:, 8] = np.where(powered, device - dc, 0.0)
-            components[:, 9] = np.where(powered, wall - device, 0.0)
-            components[:, 10] = np.where(powered, self.sleep_sum, 0.0)
+            components[..., 0] = np.where(powered, self.base_fixed, 0.0)
+            components[..., 1] = np.where(powered, self.trx_in_sum, 0.0)
+            components[..., 2] = np.where(powered, self.port_sum, 0.0)
+            components[..., 3] = np.where(powered, self.trx_up_sum, 0.0)
+            for column, part in enumerate(dyn_parts, start=4):
+                components[..., column] = np.where(powered, part, 0.0)
+            components[..., 7] = np.where(powered, dc - wall_ref, 0.0)
+            components[..., 8] = np.where(powered, device - dc, 0.0)
+            components[..., 9] = np.where(powered, wall - device, 0.0)
+            components[..., 10] = np.where(powered, self.sleep_sum, 0.0)
         return result
 
     def _dc_from_wall_referred(self, wall_ref: np.ndarray) -> np.ndarray:
-        """Batched equivalent of ``VirtualRouter._dc_from_wall_referred``.
+        """Batched equivalent of ``VirtualRouter._dc_from_wall_referred``
+        over ``(..., n_routers)`` wall-referred power.
 
         Works one model group at a time (routers of a model share one
         inversion grid): ``np.searchsorted(side="left")`` counts grid
@@ -991,9 +1122,9 @@ class FleetState:
         is element-for-element identical at a fraction of the memory
         traffic.
         """
-        dc = np.empty(self.n_routers)
+        dc = np.empty_like(wall_ref)
         for indices, wall_grid, dc_grid in self._grid_groups:
-            w = wall_ref[indices]
+            w = wall_ref[..., indices]
             idx = np.clip(np.searchsorted(wall_grid, w, side="left") - 1,
                           0, len(wall_grid) - 2)
             w0 = wall_grid[idx]
@@ -1002,17 +1133,24 @@ class FleetState:
             d1 = dc_grid[idx + 1]
             out = ((d1 - d0) / (w1 - w0)) * (w - w0) + d0
             out = np.where(w < wall_grid[0], dc_grid[0], out)
-            dc[indices] = np.where(w >= wall_grid[-1], dc_grid[-1], out)
+            dc[..., indices] = np.where(w >= wall_grid[-1], dc_grid[-1], out)
         return dc
 
     def _psu_wall(self, device_w: np.ndarray) -> np.ndarray:
-        """Per-router wall power through the PSU curves (``PSUGroup.wall_power``)."""
+        """Per-router wall power through the PSU curves
+        (``PSUGroup.wall_power``) for ``(steps, n_routers)`` device power.
+
+        An overload names the first overloading row's worst PSU, as
+        stepping the rows one at a time would.
+        """
         share = np.where(self.psu_zero, 0.0,
-                         device_w[self.psu_router] / self.psu_div)
-        if np.any(share > self.psu_cap * 1.05):
-            worst = int(np.argmax(share / self.psu_cap))
+                         device_w[:, self.psu_router] / self.psu_div)
+        overloaded = np.any(share > self.psu_cap * 1.05, axis=1)
+        if overloaded.any():
+            row = share[int(np.argmax(overloaded))]
+            worst = int(np.argmax(row / self.psu_cap))
             raise ValueError(
-                f"PSU overloaded: asked for {share[worst]:.1f} W out of a "
+                f"PSU overloaded: asked for {row[worst]:.1f} W out of a "
                 f"{self.psu_cap[worst]:.0f} W supply")
         positive = share > 0.0
         x = share / self.psu_cap
@@ -1025,16 +1163,20 @@ class FleetState:
         eff = np.where(positive, x / safe, 1.0)
         active_in = share + (share / np.where(positive, eff, 1.0) - share)
         psu_in = np.where(positive, active_in, idle_in)
-        return np.bincount(self.psu_router, weights=psu_in,
-                           minlength=self.n_routers)
+        k = len(device_w)
+        return np.bincount(
+            self._psu_keys[:k * len(self.psu_router)],
+            weights=psu_in.ravel(),
+            minlength=k * self.n_routers).reshape(k, self.n_routers)
 
 
 class VectorizedEngine:
     """Drives one :class:`NetworkSimulation` run over a :class:`FleetState`.
 
-    Each step runs events, then traffic, then counter/noise advance,
-    then power sampling, SNMP polls and Autopower ticks, with all
-    O(ports) work columnar.
+    Each block of steps runs events, then traffic, then counter/noise
+    advance, then power sampling and the ledger, with all O(ports) work
+    columnar; each step then makes its row current and runs SNMP polls,
+    view syncing, Autopower ticks and observers.
     """
 
     def __init__(self, simulation):
@@ -1055,15 +1197,22 @@ class VectorizedEngine:
         ``polled_steps`` of the run's schedule (``grid`` holds the sample
         times); observer and Autopower hooks run after each step.  The
         caller's pre-allocated ``total_power`` / ``total_traffic``
-        columns are filled in place.  With a ``ledger``,
-        each step additionally writes the attribution split into the
-        ledger's buffer (see :meth:`FleetState.wall_power`); the
-        wall-power floats are unchanged either way.
+        columns are filled in place.  With a ``ledger``, each block
+        additionally computes the attribution split and folds it into
+        the ledger (see :meth:`FleetState.wall_power`); the wall-power
+        floats are unchanged either way.
 
         Per-router normals come in blocks (:meth:`FleetState.draw_block`)
         of at most :data:`DRAW_BLOCK_STEPS` steps that end at event
         boundaries: events may draw from a router's RNG or change who
-        draws.
+        draws.  Each draw block is stepped in blocks of at most
+        :attr:`FleetState.block_steps` steps: traffic, counters, noise,
+        wall power and the ledger are evaluated for the whole block up
+        front, then :meth:`FleetState.apply_traffic` makes one row
+        current per step for the SNMP poll, view syncing, Autopower
+        ticks and observers.  A PSU overload anywhere in a block raises
+        before any of its steps runs, naming the first overloading
+        step's worst PSU.
         """
         sim = self.sim
         state = self.state
@@ -1072,7 +1221,7 @@ class VectorizedEngine:
         innovation_std = state.noise_std * innovation_scale
         # Clock at the start of every step: what events are due against.
         step_starts = np.concatenate(([sim.clock_s], grid[:-1]))
-        block_end = 0
+        block_start = block_end = draw_end = 0
         event_idx = 0
         hostnames = [r.hostname for r in state.routers]
         # Step latencies are collected locally and handed to the
@@ -1153,29 +1302,39 @@ class VectorizedEngine:
                         patch_durations.append(patch_dt)
                 innovation_std = state.noise_std * innovation_scale
             if step == block_end:
-                block_end = min(step + DRAW_BLOCK_STEPS, n_steps)
-                if event_idx < len(pending):
-                    block_end = min(block_end, int(np.searchsorted(
-                        step_starts, pending[event_idx].at_s)))
+                if step == draw_end:
+                    draw_end = min(step + DRAW_BLOCK_STEPS, n_steps)
+                    if event_idx < len(pending):
+                        draw_end = min(draw_end, int(np.searchsorted(
+                            step_starts, pending[event_idx].at_s)))
+                    with region("kernel.advance_noise"):
+                        state.draw_block(polled_steps[step:draw_end])
+                block_start = step
+                block_end = min(step + state.block_steps, draw_end)
+                rows = slice(block_start, block_end)
+                with region("kernel.apply_traffic"):
+                    state.plan_traffic(step_starts[rows])
+                with region("kernel.advance_counters"):
+                    state.advance_counters(step_s)
                 with region("kernel.advance_noise"):
-                    state.draw_block(polled_steps[step:block_end])
+                    state.advance_noise(rho, innovation_std)
+                if ledger is None:
+                    with region("kernel.wall_power"):
+                        walls = state.wall_power()
+                else:
+                    parts = np.empty((block_end - block_start,
+                                      state.n_routers, len(COMPONENTS)))
+                    with region("kernel.wall_power"):
+                        walls = state.wall_power(components=parts)
+                    block_attr = ledger.record(grid[rows], step_s, parts,
+                                               walls)
+                total_power[rows] = walls.sum(axis=1)
             with region("kernel.apply_traffic"):
                 ingress = state.apply_traffic(t)
-            with region("kernel.advance_counters"):
-                state.advance_counters(step_s)
-            with region("kernel.advance_noise"):
-                state.advance_noise(rho, innovation_std)
             t_sample = sim.clock_s = float(grid[step])
-            if ledger is None:
-                with region("kernel.wall_power"):
-                    wall = state.wall_power()
-                fleet_attr = None
-            else:
-                with region("kernel.wall_power"):
-                    wall = state.wall_power(components=ledger.power_buf)
-                fleet_attr = ledger.record(t_sample, step_s,
-                                           ledger.power_buf, wall)
-            total_power[step] = wall.sum()
+            wall = walls[step - block_start]
+            fleet_attr = (None if ledger is None
+                          else block_attr[step - block_start])
             total_traffic[step] = ingress
             polled = bool(polled_steps[step])
             if polled:

@@ -54,15 +54,14 @@ class DiurnalProfile:
 
     def multipliers(self, t_s: np.ndarray,
                     weekend: Optional[bool] = None) -> np.ndarray:
-        """Vectorised :meth:`multiplier`.
+        """Vectorised :meth:`multiplier`, elementwise over any shape.
 
         ``weekend`` short-circuits the day-of-week classification when
         the caller can prove every element falls on the same side of
-        the weekday/weekend split (a scalar base time plus bounded
-        phase offsets).  Both branches return exactly the floats the
-        element-wise ``np.where`` would have selected, so the fast path
-        is bit-identical -- it just skips a second modulo pass over the
-        array.
+        the weekday/weekend split.  Both branches return exactly the
+        floats the element-wise ``np.where`` would have selected, so the
+        fast path is bit-identical -- it just skips a second modulo pass
+        over the array.
         """
         t_s = np.asarray(t_s, dtype=float)
         hour = (t_s % units.SECONDS_PER_DAY) / units.SECONDS_PER_HOUR
@@ -75,6 +74,25 @@ class DiurnalProfile:
         if weekend:
             return value * self.weekend_factor
         return value
+
+
+def _uniform_weekend(lo_s: float, hi_s: float) -> Optional[bool]:
+    """Shared weekday/weekend flag of every time in ``[lo_s, hi_s]``.
+
+    True or False when the whole window sits inside one weekend or
+    weekday stretch, None when it touches a boundary or wraps the week.
+    ``%`` is exact on non-negative floats and a monotone rounding of
+    ``x + week`` on negative ones, so no time computed inside the window
+    can classify differently.
+    """
+    lo = lo_s % units.SECONDS_PER_WEEK
+    hi = hi_s % units.SECONDS_PER_WEEK
+    if hi_s - lo_s >= units.SECONDS_PER_WEEK or lo > hi:
+        return None
+    saturday = 5.0 * units.SECONDS_PER_DAY
+    if lo < saturday <= hi:
+        return None
+    return lo >= saturday
 
 
 @dataclass
@@ -212,7 +230,6 @@ class FleetTrafficModel:
                                          internal_utilisation_scale)
         self._base_internal_loads = self.matrix.base_link_loads()
         self._external_columns: Optional[Tuple[np.ndarray, ...]] = None
-        self._phase_span_s = 0.0
 
     # -- construction ---------------------------------------------------------------
 
@@ -274,15 +291,24 @@ class FleetTrafficModel:
         return {link_id: load * mult * noise
                 for link_id, load in self._base_internal_loads.items()}
 
-    def external_rates_vector(self, t_s: float) -> Tuple[np.ndarray,
-                                                         np.ndarray]:
-        """Vectorised :meth:`external_rates_at`: ``(link_ids, rates)``.
+    def rates_block(self, times_s: np.ndarray) -> Tuple[np.ndarray,
+                                                        np.ndarray,
+                                                        np.ndarray]:
+        """:meth:`external_rates_at` and :meth:`internal_rates_at` for a
+        block of steps starting at ``times_s``.
 
-        Rows align with ``self.externals``.  Consumes the RNG stream
-        exactly like the scalar method (one lognormal per demand, in
-        list order), so scalar and vectorised simulations see identical
-        noise; only the diurnal multiplier is evaluated with ``np.cos``
-        instead of ``math.cos`` (sub-ulp difference).
+        Returns ``(external, multiplier, noise)``: the ``(steps,
+        externals)`` offered rates, rows aligned with ``self.externals``,
+        and the per-step internal ``multiplier`` and ``noise`` factors
+        (an internal link carries ``load * multiplier * noise``).  One
+        ``lognormal`` call draws the whole block: its ``(steps,
+        externals + 1)`` sigma matrix puts each step's external noise
+        scales first and the internal factor's 0.08 last, and array
+        draws consume the stream in C order, so every value equals the
+        scalar methods' draw for that step.  Only the external diurnal
+        multiplier is evaluated with ``np.cos`` instead of ``math.cos``
+        (sub-ulp difference); the internal one is the scalar
+        :meth:`DiurnalProfile.multiplier`.
         """
         if self._external_columns is None:
             speed = {l.link_id: l.speed_gbps
@@ -293,60 +319,28 @@ class FleetTrafficModel:
             # Per-demand constants folded once: the phase offset in
             # seconds and the 95 % rate cap are the same floats the
             # scalar path computes per call.
-            phase_s = phase_h * units.SECONDS_PER_HOUR
             self._external_columns = (
-                np.array([d.link_id for d in self.externals],
-                         dtype=np.int64),
                 np.array([d.base_utilisation for d in self.externals]),
                 np.array([d.noise_scale for d in self.externals]),
-                phase_s,
+                phase_h * units.SECONDS_PER_HOUR,
                 cap_bps,
                 0.95 * cap_bps,
             )
-            self._phase_span_s = (
-                float(np.abs(phase_s).max()) if len(phase_s) else 0.0)
-        link_ids, base_util, noise_scale, phase_s, cap_bps, cap95 = \
+        base_util, noise_scale, phase_s, cap_bps, cap95 = \
             self._external_columns
-        if len(link_ids) == 0:
-            return link_ids, np.zeros(0)
+        times = [float(t) for t in times_s]
+        n_ext = len(base_util)
+        sigma = np.empty((len(times), n_ext + 1))
+        sigma[:, :n_ext] = noise_scale
+        sigma[:, n_ext] = 0.08
+        draws = self.rng.lognormal(0.0, sigma)
+        span = float(np.abs(phase_s).max()) if n_ext else 0.0
         mult = self.profile.multipliers(
-            t_s + phase_s, weekend=self._uniform_weekend(t_s))
-        noise = self.rng.lognormal(0.0, noise_scale)
-        rate = base_util * mult * noise * cap_bps
-        return link_ids, np.minimum(rate, cap95)
-
-    def _uniform_weekend(self, t_s: float) -> Optional[bool]:
-        """Shared weekday/weekend flag of all demands at ``t_s``, if any.
-
-        Demand times are ``t_s`` plus per-demand phase shifts bounded by
-        ``_phase_span_s``, so when the whole ``t_s +- span`` window sits
-        strictly inside one weekday or weekend stretch every demand
-        classifies identically and :meth:`DiurnalProfile.multipliers`
-        can skip its element-wise week modulo.  Near a boundary (or if
-        the window wraps the week), returns None for the exact path.
-        ``%`` is exact on non-negative floats and rounding is monotone,
-        so no element can land outside the [lo, hi] window this checks.
-        """
-        span = self._phase_span_s
-        lo = (t_s - span) % units.SECONDS_PER_WEEK
-        hi = (t_s + span) % units.SECONDS_PER_WEEK
-        if lo > hi:          # window wraps the Monday-00:00 boundary
-            return None
-        saturday = 5.0 * units.SECONDS_PER_DAY
-        if lo < saturday <= hi:   # window straddles the Saturday boundary
-            return None
-        return lo >= saturday
-
-    def internal_rate_factors(self, t_s: float) -> Tuple[float, float]:
-        """The ``(multiplier, noise)`` pair of :meth:`internal_rates_at`.
-
-        Lets callers holding their own per-link load arrays compute
-        ``load * mult * noise`` without building the dict; draws the same
-        single lognormal as the scalar method.
-        """
-        mult = self.profile.multiplier(t_s)
-        noise = float(self.rng.lognormal(0.0, 0.08))
-        return mult, noise
+            np.asarray(times)[:, None] + phase_s,
+            weekend=_uniform_weekend(times[0] - span, times[-1] + span))
+        rate = base_util * mult * draws[:, :n_ext] * cap_bps
+        internal_mult = np.array([self.profile.multiplier(t) for t in times])
+        return np.minimum(rate, cap95), internal_mult, draws[:, n_ext]
 
     def refresh_internal_loads(self) -> None:
         """Recompute base internal loads (after topology-affecting events)."""

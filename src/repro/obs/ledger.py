@@ -80,12 +80,12 @@ M_LEDGER_ENERGY = metrics.gauge(
 class LedgerAccumulator:
     """Fixed-memory per-router, per-component energy accounting.
 
-    One instance rides along a single simulation run.  Each step the
-    engine fills :attr:`power_buf` (a reusable ``(n_routers,
-    n_components)`` watt matrix) and calls :meth:`record`, which
-    integrates energy, checks conservation against the engine's own
-    wall-power column, and optionally keeps a fleet-level per-step
-    series for Chrome-trace counter tracks.
+    One instance rides along a single simulation run.  The engine hands
+    :meth:`record` a ``(steps, n_routers, n_components)`` watt matrix
+    for a block of consecutive steps; the ledger integrates energy,
+    checks conservation against the engine's own wall-power rows, and
+    optionally keeps a fleet-level per-step series for Chrome-trace
+    counter tracks.
     """
 
     def __init__(self, hostnames: Sequence[str],
@@ -93,11 +93,9 @@ class LedgerAccumulator:
         self.hostnames = tuple(hostnames)
         self._index = {h: i for i, h in enumerate(self.hostnames)}
         n = len(self.hostnames)
-        #: Reusable per-step watt matrix the engine writes into.
-        self.power_buf = np.zeros((n, len(COMPONENTS)))
         #: Accumulated joules per router per component.
         self.energy_j = np.zeros((n, len(COMPONENTS)))
-        #: The most recent step's watt matrix (copy of the buffer).
+        #: The most recent step's watt matrix.
         self.last_power_w = np.zeros((n, len(COMPONENTS)))
         self.max_residual_w = 0.0
         self.n_steps = 0
@@ -108,30 +106,35 @@ class LedgerAccumulator:
 
     # -- recording -----------------------------------------------------------
 
-    def record(self, t_s: float, step_s: float, power_w: np.ndarray,
-               total_w: np.ndarray) -> np.ndarray:
-        """Fold one step's watt matrix in; returns fleet watts per component.
+    def record(self, t_s: Sequence[float], step_s: float,
+               power_w: np.ndarray, total_w: np.ndarray) -> np.ndarray:
+        """Fold a block of steps in; returns fleet watts per component.
 
-        ``power_w`` is the ``(n_routers, n_components)`` matrix for this
-        step (usually :attr:`power_buf`); ``total_w`` is the engine's own
-        per-router wall power, the conservation reference.
+        ``power_w`` holds one ``(n_routers, n_components)`` watt matrix
+        per step sampled at ``t_s``; ``total_w`` is the engine's own
+        ``(steps, n_routers)`` wall power, the conservation reference.
+        Energy accumulates one step's joules after the other, the same
+        chain of additions whatever the block length.  Returns a
+        ``(steps, n_components)`` matrix.
         """
         with profile.region("kernel.ledger_record"):
             residual = float(np.max(np.abs(
-                power_w[:, :N_CONSERVED].sum(axis=1) - total_w),
+                power_w[..., :N_CONSERVED].sum(axis=-1) - total_w),
                 initial=0.0))
             if residual > self.max_residual_w:
                 self.max_residual_w = residual
-            self.energy_j += power_w * step_s
-            np.copyto(self.last_power_w, power_w)
-            self.n_steps += 1
-            self.duration_s += step_s
-            fleet_w = power_w.sum(axis=0)
+            for energy in power_w * step_s:
+                self.energy_j += energy
+            np.copyto(self.last_power_w, power_w[-1])
+            self.n_steps += len(power_w)
+            for _ in range(len(power_w)):
+                self.duration_s += step_s
+            fleet_w = power_w.sum(axis=1)
             if self._track_series:
-                self._series_t.append(float(t_s))
-                self._series_w.append(fleet_w.copy())
+                self._series_t.extend(float(t) for t in t_s)
+                self._series_w.extend(fleet_w.copy())
             if metrics.enabled():
-                M_LEDGER_STEPS.inc()
+                M_LEDGER_STEPS.inc(len(power_w))
                 M_LEDGER_RESIDUAL.set(self.max_residual_w)
             return fleet_w
 

@@ -200,11 +200,24 @@ class NetpowerServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         M_CONNECTIONS.inc()
+        # One body deadline per connection, armed only while a body is
+        # read (idle keep-alive gaps never expire it); ``reading`` holds
+        # the endpoint whose body it guards.
+        deadline = asyncio.timeout(None)
+        reading = [OTHER_ENDPOINT]
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
+            try:
+                async with deadline:
+                    while await self._handle_one(reader, writer, deadline,
+                                                 reading):
+                        pass
+            except TimeoutError:
+                if not deadline.expired():
+                    raise
+                await self._respond(writer, 408, error_body("body timeout"),
+                                    endpoint=reading[0],
+                                    started=time.perf_counter(),
+                                    keep_alive=False)
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
                 ConnectionResetError, BrokenPipeError):
             pass
@@ -217,7 +230,9 @@ class NetpowerServer:
                 pass
 
     async def _handle_one(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> bool:
+                          writer: asyncio.StreamWriter,
+                          deadline: asyncio.Timeout,
+                          reading: List[str]) -> bool:
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -250,15 +265,11 @@ class NetpowerServer:
             return False
         body = b""
         if length:
-            try:
-                async with asyncio.timeout(BODY_TIMEOUT_S):
-                    body = await reader.readexactly(length)
-            except TimeoutError:
-                await self._respond(writer, 408, error_body("body timeout"),
-                                    endpoint=endpoint_label(path),
-                                    started=time.perf_counter(),
-                                    keep_alive=False)
-                return False
+            reading[0] = endpoint_label(path)
+            deadline.reschedule(
+                asyncio.get_running_loop().time() + BODY_TIMEOUT_S)
+            body = await reader.readexactly(length)
+            deadline.reschedule(None)
         started = time.perf_counter()
         status, payload, content_type, extra = await self._route(
             method, path, body)

@@ -212,14 +212,14 @@ class FleetService:
                     peer.router.hostname in state.router_index:
                 patch_hosts.add(peer.router.hostname)
         patch_list = sorted(patch_hosts)
-        baseline = state.wall_power()
+        baseline = state.wall_power()[0]
         baseline_total = float(baseline.sum())
         saved = [(port, port.admin_up) for port, _up in toggles]
         try:
             for port, admin_up in toggles:
                 port.set_admin(admin_up)
             state.patch_routers(patch_list)
-            variant = state.wall_power()
+            variant = state.wall_power()[0]
         finally:
             for port, admin_up in saved:
                 port.set_admin(admin_up)

@@ -143,18 +143,19 @@ class OracleSimulation(NetworkSimulation):
                 # Summed in the same sequential order as
                 # total_wall_power_w(), so totals stay byte-identical
                 # with attribution on.
-                buf = ledger.power_buf
+                buf = np.empty((1, len(self.network.routers),
+                                len(COMPONENTS)))
                 total = 0.0
                 with region("kernel.wall_power"):
                     for i, (host, router) in enumerate(
                             self.network.routers.items()):
-                        wall = router_breakdown(router, buf[i])
+                        wall = router_breakdown(router, buf[0, i])
                         power_by_host[host] = wall
                         total += wall
                 total_power[step] = total
                 fleet_attr = ledger.record(
-                    t_sample, step_s, buf,
-                    np.array(list(power_by_host.values())))
+                    [t_sample], step_s, buf,
+                    np.array([list(power_by_host.values())]))[0]
             elif observers:
                 with region("kernel.wall_power"):
                     power_by_host = {host: router.wall_power_w()

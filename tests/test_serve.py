@@ -423,6 +423,49 @@ def test_truncated_body_times_out_with_408_then_closes(monkeypatch):
     run_with_server(scenario)
 
 
+def test_body_deadline_spans_only_body_reads_on_a_keepalive_connection(
+        monkeypatch):
+    monkeypatch.setattr("repro.serve.app.BODY_TIMEOUT_S", 0.2)
+    body = predict_body(first_model())
+
+    async def read_response(reader):
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                      timeout=10)
+        lines = head.decode("latin-1").split("\r\n")
+        length = int(next(line.split(":")[1] for line in lines
+                          if line.startswith("Content-Length:")))
+        return lines, await reader.readexactly(length)
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        request = (f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n").encode()
+        try:
+            # Idle well past the deadline before the first request, and
+            # again between requests: no body is being read, so the
+            # connection's deadline stays disarmed.
+            for _ in range(2):
+                await asyncio.sleep(0.5)
+                writer.write(request + body)
+                await writer.drain()
+                lines, _payload = await read_response(reader)
+                assert lines[0] == "HTTP/1.1 200 OK"
+                assert "Connection: keep-alive" in lines
+            # A later request whose body stalls still gets 408, then EOF.
+            writer.write(request + body[:5])
+            await writer.drain()
+            lines, payload = await read_response(reader)
+            assert lines[0] == "HTTP/1.1 408 Request Timeout"
+            assert "Connection: close" in lines
+            assert payload == error_body("body timeout")
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+        finally:
+            writer.close()
+
+    run_with_server(scenario)
+
+
 def test_junk_paths_keep_request_metric_series_bounded():
     n_junk = 2000
 
